@@ -10,25 +10,19 @@ operations refuse rather than return silently wrong output.
 
 Hensel lifting iterates the fixed-slope contraction x -> x - Q(x)/Q'(r)
 from a residue-simple approximate root; the residual valuation strictly
-increases each step.  A quadratic variant that divides by Q'(x) is
-provided as an optimization.
+increases each step.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .coeffs import Coefficient, as_coefficient
 from .errors import PrecisionError, PreconditionError
 from .exponents import Exponent, as_exponent, reach_count
-from .linalg import rref
-from .series import (
-    AtLeast,
-    SeriesPolynomial,
-    TruncatedSeries,
-    eval_poly,
-)
+from .linalg import kernel_vector, rref
+from .series import SeriesPolynomial, TruncatedSeries, eval_poly
 
 __all__ = [
     "OneUnit",
@@ -40,7 +34,6 @@ __all__ = [
     "newton_puiseux",
     "rational_reconstruct",
     "verify_root",
-    "unit_weight",
 ]
 
 
@@ -95,10 +88,6 @@ class OneUnit:
         return f"OneUnit({self.series})"
 
 
-def unit_weight(u: OneUnit):
-    return u.weight()
-
-
 def _check_infinitesimal(eps: TruncatedSeries) -> None:
     zero = eps.prec.scale(0)
     if not eps.prec > zero:
@@ -151,26 +140,20 @@ def unit_pow(u: OneUnit, q) -> OneUnit:
     return exp(log(u).scalar_mul(q))
 
 
-def _residual_valuation(value):
-    return value.bound if isinstance(value, AtLeast) else value
-
-
 def hensel_lift(
     q: SeriesPolynomial,
     r: TruncatedSeries,
-    quadratic: bool = False,
     max_steps: int = 10_000,
     with_trace: bool = False,
 ):
     """Refine r to a root of q, assuming v(q(r)) > 0 and v(q'(r)) = 0.
 
-    Iterates x -> x - q(x)/q'(r) (or /q'(x) when quadratic) until the
-    residual vanishes at working precision.  Returns the root, or
-    (root, residual trace) when with_trace is set.
+    Iterates x -> x - q(x)/q'(r) until the residual vanishes at working
+    precision.  Returns the root, or (root, residual trace) when
+    with_trace is set.
     """
     zero = r.prec.scale(0)
-    qprime = q.derivative()
-    slope = eval_poly(qprime, r)
+    slope = eval_poly(q.derivative(), r)
     if not slope.terms or slope.terms[0][0] != zero:
         raise PreconditionError(
             f"v_min(Q'(r)) = {slope.v_min()} is not zero"
@@ -191,8 +174,6 @@ def hensel_lift(
     while res.terms:
         if steps >= max_steps:
             raise PrecisionError(f"no convergence within {max_steps} steps")
-        if quadratic:
-            slope_inv = eval_poly(qprime, x).inv()
         x = x - res * slope_inv
         new_res = eval_poly(q, x)
         if new_res.terms and not new_res.terms[0][0] > res.terms[0][0]:
@@ -467,11 +448,10 @@ def rational_reconstruct(f: TruncatedSeries, deg_num: int, deg_den: int):
     if not f.terms:
         one = TruncatedSeries.one(f.prec)
         return TruncatedSeries.zero(f.prec), one
-    n = 1
-    for e, _ in f.terms:
-        n = n * e.coords[0].denominator // _gcd(n, e.coords[0].denominator)
-    pd = f.prec.coords[0].denominator
-    n = n * pd // _gcd(n, pd)
+    n = lcm(
+        f.prec.coords[0].denominator,
+        *(e.coords[0].denominator for e, _ in f.terms),
+    )
     scale = Fraction(n)
     grid = {int(e.coords[0] * scale): c for e, c in f.terms}
     prec_g = int(f.prec.coords[0] * scale)
@@ -494,16 +474,9 @@ def rational_reconstruct(f: TruncatedSeries, deg_num: int, deg_den: int):
             if cf is not None:
                 row[deg_num + 1 + i] = cf
         rows.append(row)
-    reduced, pivots = rref(rows)
-    pivot_cols = set(pivots)
-    free = [j for j in range(cols) if j not in pivot_cols]
-    if not free:
+    sol = kernel_vector(*rref(rows), cols)
+    if sol is None:
         return None
-    j0 = free[0]
-    sol = [Coefficient.zero()] * cols
-    sol[j0] = Coefficient.one()
-    for row, pc in zip(reduced, pivots):
-        sol[pc] = -row[j0]
     den_coeffs = sol[deg_num + 1 :]
     num_coeffs = sol[: deg_num + 1]
     # normalize the lowest-order nonzero denominator coefficient to 1
@@ -520,9 +493,3 @@ def rational_reconstruct(f: TruncatedSeries, deg_num: int, deg_den: int):
         [(Fraction(i, n), c) for i, c in enumerate(den_coeffs)], out_prec
     )
     return num, den
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a

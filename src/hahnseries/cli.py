@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -153,7 +154,7 @@ def _cmd_pow(session, args, out):
 def _cmd_hensel(session, args, out):
     q = session.parse_poly(args.poly)
     r = session.parse_series(args.root)
-    root = hensel_lift(q, r, quadratic=args.quadratic)
+    root = hensel_lift(q, r)
     _emit(session, "hensel", [str(root)], {"series": str(root)}, out)
 
 
@@ -239,48 +240,36 @@ def _cmd_optapprox(session, args, out):
     _emit(session, "optapprox", [str(approx)], {"series": str(approx)}, out)
 
 
-def _cmd_inclexcl(session, args, out):
-    f = session.parse_series(args.expr)
-    variables = [int(v) for v in args.vars.split(",")]
-    result = inclusion_exclusion_approx(f, session.candidate_specs(variables))
-    lines = [f"h = {result.h}"]
+def _inclexcl_report(session, command, h, result, out):
+    lines = [f"h = {h}"]
     for key, s in result.summands.items():
         lines.append(f"sigma {key}: {s}")
-    lines.append(
-        "places: " + "; ".join(str(p) for p in result.places)
-    )
+    lines.append("places: " + "; ".join(str(p) for p in result.places))
     _emit(
         session,
-        "inclexcl",
+        command,
         lines,
         {
-            "h": str(result.h),
+            "h": str(h),
             "summands": {k: str(s) for k, s in result.summands.items()},
             "places": [_place_json(p) for p in result.places],
         },
         out,
     )
+
+
+def _cmd_inclexcl(session, args, out):
+    f = session.parse_series(args.expr)
+    variables = [int(v) for v in args.vars.split(",")]
+    result = inclusion_exclusion_approx(f, session.candidate_specs(variables))
+    _inclexcl_report(session, "inclexcl", result.h, result, out)
 
 
 def _cmd_multinclexcl(session, args, out):
     u = OneUnit(session.parse_series(args.expr))
     variables = [int(v) for v in args.vars.split(",")]
     result = mult_inclusion_exclusion(u, session.candidate_specs(variables))
-    lines = [f"h = {result.h.series}"]
-    for key, s in result.summands.items():
-        lines.append(f"sigma {key}: {s}")
-    lines.append("places: " + "; ".join(str(p) for p in result.places))
-    _emit(
-        session,
-        "multinclexcl",
-        lines,
-        {
-            "h": str(result.h.series),
-            "summands": {k: str(s) for k, s in result.summands.items()},
-            "places": [_place_json(p) for p in result.places],
-        },
-        out,
-    )
+    _inclexcl_report(session, "multinclexcl", result.h.series, result, out)
 
 
 def _cmd_skeleton(session, args, out):
@@ -348,8 +337,19 @@ def _cmd_chain(session, args, out):
     _emit(session, "chain", lines, {"stages": stages}, out)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a negative fraction such as -1/3 as a value, not an option.
+
+    Subcommand parsers are built from the same class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hahnseries",
         description="Exact truncated Hahn/Puiseux series computations",
     )
@@ -376,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hensel", help="lift an approximate root")
     p.add_argument("poly")
     p.add_argument("--root", required=True)
-    p.add_argument("--quadratic", action="store_true")
     p.set_defaults(handler=_cmd_hensel)
 
     p = sub.add_parser("puiseux", help="fractional-exponent roots")

@@ -51,6 +51,21 @@ def rref(rows):
     return rows[:r], pivots
 
 
+def kernel_vector(reduced, pivots, ncols):
+    """From rref output: the null vector that sets the first free column
+    to 1 and the other free columns to 0, or None if every column is a
+    pivot."""
+    pivot_cols = set(pivots)
+    j0 = next((j for j in range(ncols) if j not in pivot_cols), None)
+    if j0 is None:
+        return None
+    sol = [Coefficient.zero()] * ncols
+    sol[j0] = Coefficient.one()
+    for row, pc in zip(reduced, pivots):
+        sol[pc] = -row[j0]
+    return sol
+
+
 def _expand_columns(elements, scalar_vars):
     """Rows of the dependence system: one per monomial in the non-scalar
     variables, entries in Q(a_Y)."""
@@ -81,22 +96,9 @@ def null_combination(elements, scalar_vars):
     """A nonzero scalar vector with sum(r_i * elements_i) = 0, or None."""
     if not elements:
         return None
+    # with every element zero there are no rows and the first one is chosen
     rows = _expand_columns(elements, scalar_vars)
-    if not rows:  # every element is zero
-        out = [Coefficient.zero()] * len(elements)
-        out[0] = Coefficient.one()
-        return out
-    reduced, pivots = rref(rows)
-    pivot_cols = set(pivots)
-    free = [j for j in range(len(elements)) if j not in pivot_cols]
-    if not free:
-        return None
-    j0 = free[0]
-    sol = [Coefficient.zero()] * len(elements)
-    sol[j0] = Coefficient.one()
-    for row, pc in zip(reduced, pivots):
-        sol[pc] = -row[j0]
-    return sol
+    return kernel_vector(*rref(rows), len(elements))
 
 
 def in_span(target, elements, scalar_vars):

@@ -118,9 +118,6 @@ class Poly:
                 out.add(v)
         return out
 
-    def total_degree(self) -> int:
-        return max((mono_degree(m) for m in self.terms), default=0)
-
     def leading_mono(self):
         return max(self.terms, key=grlex_key)
 

@@ -44,11 +44,6 @@ class AtLeast:
         return f">= {self.bound} (unknown)"
 
 
-def _vm_lower(v):
-    """Usable lower bound of a v_min result."""
-    return v.bound if isinstance(v, AtLeast) else v
-
-
 class TruncatedSeries:
     """Finite sorted term list plus a precision exponent."""
 

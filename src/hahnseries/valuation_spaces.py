@@ -232,15 +232,12 @@ def _normalize_specs(specs):
     return out
 
 
-def inclusion_exclusion_approx(f: TruncatedSeries, specs, places=None):
-    """Optimal approximation of f by series whose coefficients each miss
-    one of the listed transcendentals.
+def _stage_images(f: TruncatedSeries, specs, places):
+    """Composite specializations of f over the nonzero stage subsets.
 
-    Returns the approximation h, the table of the 2^N - 1 nonzero-stage
-    summands keyed by bitstring, and the places used.  For each nonzero
-    stage subset the summand's coefficients omit every selected
-    variable; the coefficient of h at any exponent where f's coefficient
-    already misses some listed variable equals f's coefficient there.
+    Returns ({bitstring: image}, places).  Working backwards through the
+    variable list, each stage picks a place finite on every image built
+    so far, unless places are given.
     """
     specs = _normalize_specs(specs)
     n = len(specs)
@@ -252,7 +249,7 @@ def inclusion_exclusion_approx(f: TruncatedSeries, specs, places=None):
             raise PreconditionError(
                 f"coefficient {c} uses variables outside the listed set"
             )
-    family = {(): f}
+    family = {"": f}
     chosen = [None] * n
     for k in range(n, 0, -1):
         var, candidates = specs[k - 1]
@@ -264,19 +261,29 @@ def inclusion_exclusion_approx(f: TruncatedSeries, specs, places=None):
         chosen[k - 1] = place
         new_family = {}
         for sigma, g in family.items():
-            new_family[(0,) + sigma] = g
-            new_family[(1,) + sigma] = -g.specialize(place)
+            new_family["0" + sigma] = g
+            new_family["1" + sigma] = g.specialize(place)
         family = new_family
-    h = None
-    summands = {}
-    for sigma, g in family.items():
-        if not any(sigma):
-            continue
-        key = "".join(str(b) for b in sigma)
-        summands[key] = g
-        h = -g if h is None else h - g
-    summands = dict(sorted(summands.items()))
-    return InclusionExclusionResult(h, summands, tuple(chosen))
+    images = {key: g for key, g in sorted(family.items()) if "1" in key}
+    return images, tuple(chosen)
+
+
+def inclusion_exclusion_approx(f: TruncatedSeries, specs, places=None):
+    """Optimal approximation of f by series whose coefficients each miss
+    one of the listed transcendentals.
+
+    Returns the approximation h, the table of the 2^N - 1 nonzero-stage
+    summands keyed by bitstring, and the places used.  For each nonzero
+    stage subset the summand's coefficients omit every selected
+    variable; the coefficient of h at any exponent where f's coefficient
+    already misses some listed variable equals f's coefficient there.
+    """
+    images, chosen = _stage_images(f, specs, places)
+    summands = {
+        key: -g if key.count("1") % 2 else g for key, g in images.items()
+    }
+    h = -sum(summands.values(), TruncatedSeries.zero(f.prec))
+    return InclusionExclusionResult(h, summands, chosen)
 
 
 def mult_inclusion_exclusion(u: OneUnit, specs, places=None):
@@ -285,45 +292,16 @@ def mult_inclusion_exclusion(u: OneUnit, specs, places=None):
     Conjugate to the additive formula under exp/log; the result is an
     optimal approximation with respect to w(u) = v_min(1 - u).
     """
-    specs = _normalize_specs(specs)
-    n = len(specs)
-    if n == 0:
-        raise PreconditionError("at least one variable must be listed")
-    listed = {var for var, _ in specs}
-    for _, c in u.series.terms:
-        if not c.variables() <= listed:
-            raise PreconditionError(
-                f"coefficient {c} uses variables outside the listed set"
-            )
-    family = {(): u.series}
-    chosen = [None] * n
-    for k in range(n, 0, -1):
-        var, candidates = specs[k - 1]
-        if places is not None:
-            place = places[k - 1]
-        else:
-            coeffs = [c for g in family.values() for _, c in g.terms]
-            place = finite_place_for(coeffs, var, candidates)
-        chosen[k - 1] = place
-        new_family = {}
-        for sigma, g in family.items():
-            new_family[(0,) + sigma] = g
-            new_family[(1,) + sigma] = g.specialize(place)
-        family = new_family
+    images, chosen = _stage_images(u.series, specs, places)
+    summands = {
+        key: g.inv() if key.count("1") % 2 else g for key, g in images.items()
+    }
     # h = u / ((id / phi_1) o ... o (id / phi_N))(u), computed stagewise
     g = u.series
-    for k in range(n, 0, -1):
-        g = g / g.specialize(chosen[k - 1])
+    for place in reversed(chosen):
+        g = g / g.specialize(place)
     h = OneUnit(u.series / g)
-    summands = {}
-    for sigma, img in family.items():
-        if not any(sigma):
-            continue
-        key = "".join(str(b) for b in sigma)
-        odd = sum(sigma) % 2 == 1
-        summands[key] = img.inv() if odd else img
-    summands = dict(sorted(summands.items()))
-    return InclusionExclusionResult(h, summands, tuple(chosen))
+    return InclusionExclusionResult(h, summands, chosen)
 
 
 # ---------------------------------------------------------------------------
@@ -349,14 +327,8 @@ class Skeleton:
 def skeleton_of(vs, scalars: ScalarField) -> Skeleton:
     """Group an independent family by value; record leading coefficients
     as representatives of the value-graded components."""
-    vs = list(vs)
-    result = is_valuation_independent(vs, scalars)
-    if not result:
-        raise DependenceError(
-            f"family is valuation dependent at value {result.value}"
-        )
     grouped = {}
-    for s in vs:
+    for s in BasisFamily(vs, scalars):
         grouped.setdefault(s.terms[0][0], []).append(s.leading_coeff())
     classes = tuple(
         SkeletonClass(value, len(grouped[value]), tuple(grouped[value]))
@@ -391,6 +363,18 @@ def tensor_basis(basis: BasisFamily, coeff_basis, small_scalars: ScalarField) ->
     return BasisFamily(out, small_scalars)
 
 
+def _unit_product(units, exponents):
+    """prod(u_i^lam_i) over the nonzero rational lam_i, or None if all
+    are zero."""
+    result = None
+    for u, lam in zip(units, exponents):
+        if lam.is_zero():
+            continue
+        piece = unit_pow(u, lam.as_fraction())
+        result = piece if result is None else result * piece
+    return result
+
+
 class RestrictedExpMap:
     """Value-matched correspondence from an additive basis to a
     multiplicative one, extended linearly: sum(q_i b_i) -> prod(u_i^q_i)."""
@@ -408,12 +392,7 @@ class RestrictedExpMap:
             raise PreconditionError(
                 "argument is not in the additive span at precision"
             )
-        result = None
-        for lam, image in zip(coeffs, self.images):
-            if lam.is_zero():
-                continue
-            piece = unit_pow(image, lam.as_fraction())
-            result = piece if result is None else result * piece
+        result = _unit_product(self.images, coeffs)
         if result is None:
             return OneUnit(TruncatedSeries.one(eps.prec))
         return result
@@ -471,13 +450,7 @@ def build_restricted_exp(additive: BasisFamily, units) -> RestrictedExpMap:
             [deltas[i].leading_coeff() for i in idxs],
             additive.scalars.vars,
         )
-        image = None
-        for i, lam in zip(idxs, sol):
-            if lam.is_zero():
-                continue
-            piece = unit_pow(units[i], lam.as_fraction())
-            image = piece if image is None else image * piece
-        images.append(image)
+        images.append(_unit_product([units[i] for i in idxs], sol))
     return RestrictedExpMap(additive, units, images)
 
 

@@ -197,11 +197,6 @@ def test_hensel_residual_strictly_increases():
     assert isinstance(trace[-1], AtLeast)
 
 
-def test_hensel_quadratic_agrees():
-    q = y2_minus_one_plus_t(10)
-    assert hensel_lift(q, one(10), quadratic=True) == hensel_lift(q, one(10))
-
-
 def test_track_denominators_examples():
     assert track_denominators(y2_minus_one_plus_t(8), one(8)) == {2}
     q = SeriesPolynomial([-t_mono(6).scalar_mul(Fraction(1, 3)), one(6)])

@@ -126,3 +126,16 @@ def test_vmin_unknown_form():
     code, out = run_cli(["--prec", "3", "vmin", "0 + O(t^3)"])
     assert code == 0
     assert out.strip() == ">= 3 (unknown)"
+
+
+def test_negative_fraction_positional():
+    code, out = run_cli(["--prec", "5", "pow", "1 + t", "-1/3"])
+    assert code == 0
+    assert out.strip() == "1 - 1/3*t + 2/9*t^2 - 14/81*t^3 + 35/243*t^4 + O(t^5)"
+
+
+def test_negative_fraction_option_value():
+    argv = ["--prec", "6", "specialize", "a1^2*t + a2*t^2", "--var", "1", "--value", "-4/3"]
+    code, out = run_cli(argv)
+    assert code == 0
+    assert out.strip() == "16/9*t + a2*t^2 + O(t^6)"

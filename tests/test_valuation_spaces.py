@@ -360,6 +360,37 @@ def test_mult_inclexcl_summand_variables():
             assert var not in c.variables()
 
 
+def _composite_image(g, key, places):
+    """g specialized at the places of the set bits of key, last stage first."""
+    for bit, place in reversed(list(zip(key, places))):
+        if bit == "1":
+            g = g.specialize(place)
+    return g
+
+
+def test_inclexcl_three_variables_stage_table():
+    f = ts({1: a1 * a2 * a3, 2: a1 + a2 * a3, 3: a1 * a2 / (a3 - 1)}, 6)
+    res = inclusion_exclusion_approx(f, [1, 2, 3])
+    assert [p.var for p in res.places] == [1, 2, 3]
+    assert res.places[2].q != 1  # a3 = 1 is a pole of the t^3 coefficient
+    assert sorted(res.summands) == [format(k, "03b") for k in range(1, 8)]
+    total = TruncatedSeries.zero(6)
+    for key, s in res.summands.items():
+        sign = (-1) ** key.count("1")
+        assert s == _composite_image(f, key, res.places).scalar_mul(sign)
+        total = total + s
+    assert res.h == -total
+
+    u = exp(ts({1: a1 * a2 * a3, 2: a1 - a3}, 4))
+    mult = mult_inclusion_exclusion(u, [1, 2, 3])
+    assert sorted(mult.summands) == sorted(res.summands)
+    for key, s in mult.summands.items():
+        image = _composite_image(u.series, key, mult.places)
+        assert s == (image.inv() if key.count("1") % 2 else image)
+    add = inclusion_exclusion_approx(log(u), [1, 2, 3], places=mult.places)
+    assert mult.h.agrees_with(exp(add.h))
+
+
 # -- skeletons, tensors, restricted exp, chains -------------------------------------
 
 
