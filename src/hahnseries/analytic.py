@@ -1,12 +1,14 @@
 """Restricted exp/log on infinitesimals, Hensel lifting, Newton-Puiseux
 expansion, and rational reconstruction.
 
-exp and log are the truncations of the usual characteristic-zero series
-sum(x^i/i!) and sum((-1)^(i+1) x^i / i); they are defined exactly when
-finitely many terms reach the precision bound, i.e. when some integer
-multiple of the argument's valuation dominates the precision.  In a
-lexicographic exponent group of rank > 1 that can fail, and the
-operations refuse rather than return silently wrong output.
+exp, log and rational powers of 1-units are the truncations of the
+characteristic-zero series sum(x^i/i!), sum((-1)^(i+1) x^i / i) and the
+binomial series sum(binom(q, i) x^i), all summed by series.power_series;
+they are defined exactly when finitely many terms reach the precision
+bound, i.e. when some integer multiple of the argument's valuation
+dominates the precision.  In a lexicographic exponent group of rank > 1
+that can fail, and the operations refuse rather than return silently
+wrong output.
 
 Hensel lifting iterates the fixed-slope contraction x -> x - Q(x)/Q'(r)
 from a residue-simple approximate root; the residual valuation strictly
@@ -16,13 +18,14 @@ increases each step.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, chain, count
 from math import factorial, lcm
 
 from .coeffs import Coefficient, as_coefficient
 from .errors import PrecisionError, PreconditionError
 from .exponents import Exponent, as_exponent, reach_count
 from .linalg import kernel_vector, rref
-from .series import SeriesPolynomial, TruncatedSeries, eval_poly
+from .series import SeriesPolynomial, TruncatedSeries, eval_poly, power_series
 
 __all__ = [
     "OneUnit",
@@ -88,56 +91,27 @@ class OneUnit:
         return f"OneUnit({self.series})"
 
 
-def _check_infinitesimal(eps: TruncatedSeries) -> None:
-    zero = eps.prec.scale(0)
-    if not eps.prec > zero:
-        raise PreconditionError("argument precision must exceed 0")
-    if eps.terms and not eps.terms[0][0] > zero:
-        raise PreconditionError(
-            f"v_min must be positive, got {eps.terms[0][0]}"
-        )
-
-
-def _sum_terms(eps: TruncatedSeries) -> int:
-    """Terms needed so the first omitted one has valuation >= prec."""
-    n = reach_count(eps.v_floor(), eps.prec)
-    if n is None:
-        raise PrecisionError(
-            "precision unreachable by integer multiples of the valuation"
-        )
-    return max(n, 1)
-
-
 def exp(eps: TruncatedSeries) -> OneUnit:
     """exp(eps) = sum(eps^i / i!) truncated at the precision bound."""
-    _check_infinitesimal(eps)
-    n = _sum_terms(eps)
-    acc = TruncatedSeries.one(eps.prec)
-    power = TruncatedSeries.one(eps.prec)
-    for i in range(1, n):
-        power = power * eps
-        acc = acc + power.scalar_mul(Fraction(1, factorial(i)))
-    return OneUnit(acc)
+    return OneUnit(power_series(eps, (Fraction(1, factorial(i)) for i in count())))
 
 
 def log(u: OneUnit) -> TruncatedSeries:
     """log(1 + delta) = sum((-1)^(i+1) delta^i / i), inverse of exp."""
-    delta = u.delta()
-    n = _sum_terms(delta)
-    acc = TruncatedSeries.zero(delta.prec)
-    power = TruncatedSeries.one(delta.prec)
-    for i in range(1, n):
-        power = power * delta
-        acc = acc + power.scalar_mul(Fraction((-1) ** (i + 1), i))
-    return acc
+    tail = (Fraction((-1) ** (i + 1), i) for i in count(1))
+    return power_series(u.delta(), chain([0], tail))
 
 
 def unit_pow(u: OneUnit, q) -> OneUnit:
-    """u^q for rational q, realized as exp(q * log u)."""
+    """u^q = sum(binom(q, i) delta^i) for u = 1 + delta and rational q."""
     q = q if isinstance(q, Fraction) else Fraction(q)
-    if q == 0:
+    if q == 0:  # 1 even where the sum would refuse (rank > 1)
         return OneUnit(TruncatedSeries.one(u.series.prec))
-    return exp(log(u).scalar_mul(q))
+    # binom(q, i) = binom(q, i - 1) * (q - i + 1) / i
+    binomials = accumulate(
+        count(1), lambda c, i: c * (q - i + 1) / i, initial=Fraction(1)
+    )
+    return OneUnit(power_series(u.delta(), binomials))
 
 
 def hensel_lift(

@@ -338,14 +338,16 @@ def _cmd_chain(session, args, out):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads a negative fraction such as -1/3 as a value, not an option.
+    """Reads a token such as -1/3 or -t^2 as a value, not an option.
 
-    Subcommand parsers are built from the same class.
+    argparse consults the matcher only for tokens that are not registered
+    options, so -h still prints help and an unknown --flag is still an
+    error.  Subcommand parsers are built from the same class.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+        self._negative_number_matcher = re.compile(r"^-[^-]")
 
 
 def build_parser() -> argparse.ArgumentParser:

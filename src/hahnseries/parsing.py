@@ -285,15 +285,10 @@ class _Parser:
                 out = self.mul(out, value)
             return out
         if isinstance(value, TruncatedSeries):
-            if n < 0:
-                inv = value.inv()
-                out = TruncatedSeries.one(inv.prec)
-                for _ in range(-n):
-                    out = out * inv
-                return out
-            out = TruncatedSeries.one(value.prec)
-            for _ in range(n):
-                out = out * value
+            base = value.inv() if n < 0 else value
+            out = TruncatedSeries.one(base.prec)
+            for _ in range(abs(n)):
+                out = out * base
             return out
         return value**n
 

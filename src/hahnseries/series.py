@@ -11,6 +11,7 @@ records.  All ring operations attach the weakest correct precision.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from .coeffs import INFINITE, Coefficient, Place, apply_place, as_coefficient
 from .errors import (
@@ -30,6 +31,7 @@ __all__ = [
     "split_neg",
     "residue",
     "eval_poly",
+    "power_series",
     "specialize_poly",
 ]
 
@@ -140,6 +142,8 @@ class TruncatedSeries:
     def scalar_mul(self, c) -> "TruncatedSeries":
         """Multiply by an exact coefficient; precision is unchanged."""
         c = as_coefficient(c)
+        if c == 1:
+            return self
         if c.is_zero():
             return TruncatedSeries.zero(self.prec)
         out = TruncatedSeries.zero(self.prec)
@@ -186,25 +190,12 @@ class TruncatedSeries:
         """Multiplicative inverse; f * f.inv() = 1 to precision prec - v_min."""
         if not self.terms:
             raise PreconditionError("cannot invert a series that is zero at precision")
-        v = self.terms[0][0]
-        c0 = self.terms[0][1]
-        # u = 1 + delta with v_min(delta) > 0, known modulo prec - v
-        unit = self.shift_scale(Coefficient.one() / c0, -v)
-        delta = unit - TruncatedSeries.one(unit.prec)
-        if delta.terms:
-            n = reach_count(delta.v_floor(), unit.prec)
-            if n is None:
-                raise PrecisionError(
-                    "inverse needs infinitely many terms below the precision bound"
-                )
-            inv_unit = TruncatedSeries.one(unit.prec)
-            power = TruncatedSeries.one(unit.prec)
-            for _ in range(1, n):
-                power = power * (-delta)
-                inv_unit = inv_unit + power
-        else:
-            inv_unit = TruncatedSeries.one(unit.prec)
-        return inv_unit.shift_scale(Coefficient.one() / c0, -v)
+        v, c0 = self.terms[0]
+        c0_inv = Coefficient.one() / c0
+        # 1/u = sum (1 - u)^i for the 1-unit u, known modulo prec - v
+        unit = self.shift_scale(c0_inv, -v)
+        inv_unit = power_series(TruncatedSeries.one(unit.prec) - unit, repeat(1))
+        return inv_unit.shift_scale(c0_inv, -v)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -350,37 +341,6 @@ class SeriesPolynomial:
     def map_coeffs(self, fn) -> "SeriesPolynomial":
         return SeriesPolynomial([fn(c) for c in self.coeffs])
 
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for i in range(n):
-            if i >= len(self.coeffs):
-                out.append(other.coeffs[i])
-            elif i >= len(other.coeffs):
-                out.append(self.coeffs[i])
-            else:
-                out.append(self.coeffs[i] + other.coeffs[i])
-        return SeriesPolynomial(out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "SeriesPolynomial":
-        return SeriesPolynomial([s.scalar_mul(c) for s in self.coeffs])
-
-    def mul_series(self, s: TruncatedSeries) -> "SeriesPolynomial":
-        return SeriesPolynomial([c * s for c in self.coeffs])
-
-    def __mul__(self, other):
-        if self.is_zero() or other.is_zero():
-            return SeriesPolynomial([])
-        out = [None] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                p = a * b
-                out[i + j] = p if out[i + j] is None else out[i + j] + p
-        return SeriesPolynomial([c for c in out if c is not None])
-
     def __eq__(self, other):
         if not isinstance(other, SeriesPolynomial):
             return NotImplemented
@@ -436,4 +396,31 @@ def eval_poly(q, f: TruncatedSeries) -> TruncatedSeries:
     acc = coeffs[-1]
     for c in reversed(coeffs[:-1]):
         acc = acc * f + c
+    return acc
+
+
+def power_series(x: TruncatedSeries, coeffs) -> TruncatedSeries:
+    """Sum c_i * x^i for an infinitesimal x, truncated at x.prec.
+
+    coeffs yields c_0, c_1, ... and is read only as far as needed: the
+    sum stops before the first i with i * v_min(x) >= prec.  When no
+    integer multiple of the valuation reaches the precision (possible at
+    rank > 1) that sum is infinite, and the call refuses.
+    """
+    zero = x.prec.scale(0)
+    if not x.prec > zero:
+        raise PreconditionError("argument precision must exceed 0")
+    if x.terms and not x.terms[0][0] > zero:
+        raise PreconditionError(f"v_min must be positive, got {x.terms[0][0]}")
+    n = reach_count(x.v_floor(), x.prec)
+    if n is None:
+        raise PrecisionError(
+            "precision unreachable by integer multiples of the valuation"
+        )
+    coeffs = iter(coeffs)
+    acc = TruncatedSeries.one(x.prec).scalar_mul(next(coeffs))
+    power = TruncatedSeries.one(x.prec)
+    for _ in range(1, n):
+        power = power * x
+        acc = acc + power.scalar_mul(next(coeffs))
     return acc

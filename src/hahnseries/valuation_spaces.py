@@ -69,9 +69,6 @@ class ScalarField:
     def is_rationals(self) -> bool:
         return not self.vars
 
-    def contains(self, c: Coefficient) -> bool:
-        return c.variables() <= self.vars
-
     def __str__(self):
         if not self.vars:
             return "Q"

@@ -127,6 +127,26 @@ def test_unit_pow_binomial_oracle():
     assert unit_pow(u, Fraction(1, 2)).series == expected
 
 
+def test_unit_pow_matches_exp_log_composition(rng):
+    # exp(q * log u) is an independent route to u^q: two other series
+    exponents = [Fraction(n, d) for n, d in ((-3, 2), (-1, 1), (-1, 3), (1, 2), (2, 1), (5, 3))]
+    for k in range(50):
+        variables = (1,) if k % 2 else ()
+        u = OneUnit(one(4) + rand_eps(rng, prec=4, variables=variables))
+        q = rng.choice(exponents)
+        assert unit_pow(u, q).series == exp(log(u).scalar_mul(q)).series
+    # rank 2, reachable: (1, 0) reaches the precision (3, 0) in three steps
+    u = OneUnit(TruncatedSeries({(0, 0): 1, (1, 0): 1, (1, 1): 2, (2, -1): -1}, (3, 0)))
+    for q in exponents:
+        assert unit_pow(u, q).series == exp(log(u).scalar_mul(q)).series
+    # rank 2, unreachable: no multiple of (0, 1) reaches (1, 0)
+    u = OneUnit(TruncatedSeries({(0, 0): 1, (0, 1): 1}, (1, 0)))
+    with pytest.raises(PrecisionError):
+        unit_pow(u, Fraction(1, 2))
+    with pytest.raises(PrecisionError):
+        exp(log(u).scalar_mul(Fraction(1, 2)))
+
+
 def test_unit_pow_examples():
     u = OneUnit(one(5) + t_mono(5))
     assert unit_pow(u, 0).series == one(5)

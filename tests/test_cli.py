@@ -139,3 +139,21 @@ def test_negative_fraction_option_value():
     code, out = run_cli(argv)
     assert code == 0
     assert out.strip() == "16/9*t + a2*t^2 + O(t^6)"
+
+
+def test_expression_starting_with_minus():
+    code, out = run_cli(["--prec", "5", "exp", "-t^2"])
+    assert code == 0
+    assert out.strip() == "1 - t^2 + 1/2*t^4 + O(t^5)"
+
+
+def test_dash_tokens_that_stay_options(capsys):
+    # help is still an option; an unknown --flag is still a usage error
+    with pytest.raises(SystemExit) as help_exit:
+        main(["exp", "-h"])
+    assert help_exit.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: hahnseries exp")
+    with pytest.raises(SystemExit) as bad_exit:
+        main(["exp", "--bogus", "t"])
+    assert bad_exit.value.code == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err

@@ -9,8 +9,8 @@ correct no matter what the truncation hid.
 import random
 from fractions import Fraction
 
-from conftest import rand_series
-from hahnseries.analytic import OneUnit, exp, hensel_lift, log
+from conftest import rand_eps, rand_series
+from hahnseries.analytic import OneUnit, exp, hensel_lift, log, unit_pow
 from hahnseries.coeffs import Coefficient
 from hahnseries.series import SeriesPolynomial, TruncatedSeries, eval_poly
 
@@ -75,6 +75,21 @@ def test_exp_log_precision_sound(rng):
         u_small = OneUnit(TruncatedSeries.one(eps.prec) + eps)
         u_big = OneUnit(TruncatedSeries.one(HIGH) + positive)
         assert agree_below(log(u_big), log(u_small), log(u_small).prec)
+
+
+def test_unit_pow_precision_sound(rng):
+    for _ in range(40):
+        delta = rand_eps(rng, prec=rng.randint(2, 5))
+        tail = with_tail(rng, delta)
+        positive = TruncatedSeries(
+            [(e, c) for e, c in tail.terms if e > tail.prec.scale(0)], HIGH
+        )
+        u_small = OneUnit(TruncatedSeries.one(delta.prec) + delta)
+        u_big = OneUnit(TruncatedSeries.one(HIGH) + positive)
+        q = Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)))
+        truncated = unit_pow(u_small, q).series
+        full = unit_pow(u_big, q).series
+        assert agree_below(full, truncated, truncated.prec)
 
 
 def test_eval_poly_precision_sound(rng):
