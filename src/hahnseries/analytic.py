@@ -18,10 +18,10 @@ increases each step.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, chain, count
+from itertools import accumulate, chain, count, islice
 from math import factorial, lcm
 
-from .coeffs import Coefficient, as_coefficient
+from .coeffs import Coefficient
 from .errors import PrecisionError, PreconditionError
 from .exponents import Exponent, as_exponent, reach_count
 from .linalg import kernel_vector, rref
@@ -111,6 +111,8 @@ def unit_pow(u: OneUnit, q) -> OneUnit:
     binomials = accumulate(
         count(1), lambda c, i: c * (q - i + 1) / i, initial=Fraction(1)
     )
+    if q.denominator == 1 and q > 0:  # binom(q, i) = 0 for i > q
+        binomials = islice(binomials, int(q) + 1)
     return OneUnit(power_series(u.delta(), binomials))
 
 
@@ -228,26 +230,26 @@ def _edges(points):
 
 
 def _initial_form_roots(psi):
-    """Roots with multiplicity of a coefficient-field polynomial of deg <= 2."""
+    """Distinct roots of a coefficient-field polynomial of degree <= 2."""
     deg = len(psi) - 1
     while deg >= 0 and psi[deg].is_zero():
         deg -= 1
     if deg <= 0:
         return []
     if deg == 1:
-        return [(-psi[0] / psi[1], 1)]
+        return [-psi[0] / psi[1]]
     if deg == 2:
         a, b, c = psi[2], psi[1], psi[0]
         disc = b * b - 4 * a * c
         if disc.is_zero():
-            return [(-b / (2 * a), 2)]
+            return [-b / (2 * a)]
         root = _coefficient_sqrt(disc)
         if root is None:
             raise PreconditionError(
                 f"initial form has no rational root in the transcendentals: "
                 f"({psi[2]})*c^2 + ({psi[1]})*c + ({psi[0]})"
             )
-        return [((-b + root) / (2 * a), 1), ((-b - root) / (2 * a), 1)]
+        return [(-b + root) / (2 * a), (-b - root) / (2 * a)]
     raise PreconditionError(
         f"initial form of degree {deg} exceeds the quadratic solver"
     )
@@ -266,20 +268,14 @@ def _coefficient_sqrt(c: Coefficient):
 
 
 def _shift_poly(q: SeriesPolynomial, c: Coefficient, mu: Exponent):
-    """Coefficients of q(c*t^mu + y)."""
-    from math import comb
-
-    coeffs = q.coeffs
-    d = len(coeffs) - 1
-    out = []
-    for j in range(d + 1):
-        acc = None
-        for i in range(j, d + 1):
-            factor = as_coefficient(comb(i, j)) * c ** (i - j)
-            term = coeffs[i].shift_scale(factor, mu.scale(i - j))
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return SeriesPolynomial(out)
+    """Coefficients of q(c*t^mu + y), by repeated synthetic division
+    (Horner's Taylor shift); every product by c*t^mu is lossless."""
+    a = list(q.coeffs)
+    d = len(a) - 1
+    for j in range(d):
+        for i in range(d - 1, j - 1, -1):
+            a[i] = a[i] + a[i + 1].shift_scale(c, mu)
+    return SeriesPolynomial(a)
 
 
 def _resultant(a: SeriesPolynomial, b: SeriesPolynomial) -> TruncatedSeries:
@@ -383,9 +379,7 @@ def newton_puiseux(
                     cf.terms and cf.terms[0][0] == v1 - mu.scale(j - i1)
                 )
                 psi.append(cf.terms[0][1] if on_edge else Coefficient.zero())
-            for c, _mult in _initial_form_roots(psi):
-                if c.is_zero():
-                    continue
+            for c in _initial_form_roots(psi):
                 shifted = _shift_poly(poly, c, mu)
                 for tail in expand(shifted, mu):
                     root = dict(tail)
@@ -393,12 +387,7 @@ def newton_puiseux(
                     out.append(root)
         return out
 
-    roots = []
-    for data in expand(q, None):
-        s = TruncatedSeries(list(data.items()), prec)
-        if any(s.terms == t.terms for t in roots):
-            continue
-        roots.append(s)
+    roots = [TruncatedSeries(data, prec) for data in expand(q, None)]
     roots.sort(key=lambda s: [(e.coords, str(c)) for e, c in s.terms])
     if branch_count is not None:
         roots = roots[:branch_count]

@@ -49,7 +49,7 @@ class AtLeast:
 class TruncatedSeries:
     """Finite sorted term list plus a precision exponent."""
 
-    __slots__ = ("terms", "prec", "_index")
+    __slots__ = ("terms", "prec")
 
     def __init__(self, terms, prec):
         prec = as_exponent(prec)
@@ -68,7 +68,6 @@ class TruncatedSeries:
         kept = sorted((e, c) for e, c in merged.items() if e < prec)
         self.terms = tuple(kept)
         self.prec = prec
-        self._index = dict(kept)
 
     @property
     def rank(self) -> int:
@@ -92,7 +91,7 @@ class TruncatedSeries:
 
     def coefficient(self, e) -> Coefficient:
         e = as_exponent(e, self.rank)
-        return self._index.get(e, Coefficient.zero())
+        return dict(self.terms).get(e, Coefficient.zero())
 
     def v_min(self):
         """Least exposed exponent, or AtLeast(prec) when nothing is stored."""
@@ -121,8 +120,8 @@ class TruncatedSeries:
         prec = min(self.prec, other.prec)
         merged = dict(self.terms)
         for e, c in other.terms:
-            s = merged.get(e, Coefficient.zero()) + c
-            merged[e] = s
+            s = merged.get(e)
+            merged[e] = c if s is None else s + c
         return TruncatedSeries(merged, prec)
 
     __radd__ = __add__
@@ -136,7 +135,6 @@ class TruncatedSeries:
     def __neg__(self):
         out = TruncatedSeries.zero(self.prec)
         out.terms = tuple((e, -c) for e, c in self.terms)
-        out._index = dict(out.terms)
         return out
 
     def scalar_mul(self, c) -> "TruncatedSeries":
@@ -148,7 +146,6 @@ class TruncatedSeries:
             return TruncatedSeries.zero(self.prec)
         out = TruncatedSeries.zero(self.prec)
         out.terms = tuple((e, k * c) for e, k in self.terms)
-        out._index = dict(out.terms)
         return out
 
     def shift_scale(self, c, e) -> "TruncatedSeries":
@@ -235,7 +232,7 @@ class TruncatedSeries:
             )
         if not self.prec > zero:
             raise PrecisionError("precision too low to read the residue")
-        return self._index.get(zero, Coefficient.zero())
+        return self.coefficient(zero)
 
     def agrees_with(self, other) -> bool:
         """Equality to the shared precision min(prec, other.prec)."""
@@ -403,7 +400,8 @@ def power_series(x: TruncatedSeries, coeffs) -> TruncatedSeries:
     """Sum c_i * x^i for an infinitesimal x, truncated at x.prec.
 
     coeffs yields c_0, c_1, ... and is read only as far as needed: the
-    sum stops before the first i with i * v_min(x) >= prec.  When no
+    sum stops before the first i with i * v_min(x) >= prec, or where
+    coeffs runs out (a finite coeffs means c_i = 0 beyond it).  When no
     integer multiple of the valuation reaches the precision (possible at
     rank > 1) that sum is infinite, and the call refuses.
     """
@@ -420,7 +418,7 @@ def power_series(x: TruncatedSeries, coeffs) -> TruncatedSeries:
     coeffs = iter(coeffs)
     acc = TruncatedSeries.one(x.prec).scalar_mul(next(coeffs))
     power = TruncatedSeries.one(x.prec)
-    for _ in range(1, n):
+    for _, c in zip(range(1, n), coeffs):
         power = power * x
-        acc = acc + power.scalar_mul(next(coeffs))
+        acc = acc + power.scalar_mul(c)
     return acc

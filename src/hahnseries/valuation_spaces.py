@@ -334,16 +334,6 @@ def skeleton_of(vs, scalars: ScalarField) -> Skeleton:
     return Skeleton(classes, scalars)
 
 
-def _spans_match(lead_a, lead_b, scalars) -> bool:
-    for c in lead_a:
-        if in_span(c, list(lead_b), scalars.vars) is None:
-            return False
-    for c in lead_b:
-        if in_span(c, list(lead_a), scalars.vars) is None:
-            return False
-    return True
-
-
 def tensor_basis(basis: BasisFamily, coeff_basis, small_scalars: ScalarField) -> BasisFamily:
     """Products {b' * b}: a valuation basis over the smaller scalar field,
     given a basis over the larger one and an independent coefficient list."""
@@ -424,17 +414,24 @@ def build_restricted_exp(additive: BasisFamily, units) -> RestrictedExpMap:
             f"value sets differ: {[str(v) for v in s_add.values()]} vs "
             f"{[str(v) for v in s_mult.values()]}"
         )
+    # equal dimensions and independent leading coefficients: the spans
+    # agree exactly when each additive leading coefficient lies in the
+    # multiplicative span.  Solve every class before any unit power.
+    solved = {}
     for ca, cm in zip(s_add.classes, s_mult.classes):
         if ca.dim != cm.dim:
             raise SkeletonMismatchError(
                 f"component dimensions differ at value {ca.value}"
             )
-        if not _spans_match(ca.leading, cm.leading, additive.scalars):
-            raise SkeletonMismatchError(
-                f"leading-coefficient spaces differ at value {ca.value}"
-            )
-    # express each additive leading coefficient in the matching
-    # multiplicative leading coefficients, then build the image units
+        sols = []
+        for c in ca.leading:
+            sol = in_span(c, list(cm.leading), additive.scalars.vars)
+            if sol is None:
+                raise SkeletonMismatchError(
+                    f"leading-coefficient spaces differ at value {ca.value}"
+                )
+            sols.append(sol)
+        solved[ca.value] = iter(sols)
     unit_idx_by_value = {}
     for i, d in enumerate(deltas):
         unit_idx_by_value.setdefault(d.terms[0][0], []).append(i)
@@ -442,12 +439,7 @@ def build_restricted_exp(additive: BasisFamily, units) -> RestrictedExpMap:
     for b in additive.entries:
         value = b.terms[0][0]
         idxs = unit_idx_by_value[value]
-        sol = in_span(
-            b.leading_coeff(),
-            [deltas[i].leading_coeff() for i in idxs],
-            additive.scalars.vars,
-        )
-        images.append(_unit_product([units[i] for i in idxs], sol))
+        images.append(_unit_product([units[i] for i in idxs], next(solved[value])))
     return RestrictedExpMap(additive, units, images)
 
 

@@ -1,9 +1,9 @@
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
-from conftest import rand_eps
+from conftest import rand_eps, rand_series
 from hahnseries.coeffs import Coefficient
 from hahnseries.errors import PrecisionError, PreconditionError
 from hahnseries.exponents import as_exponent
@@ -15,6 +15,7 @@ from hahnseries.series import (
 )
 from hahnseries.analytic import (
     OneUnit,
+    _shift_poly,
     exp,
     hensel_lift,
     log,
@@ -155,6 +156,32 @@ def test_unit_pow_examples():
     # integer power matches repeated multiplication
     sq = unit_pow(u, 2)
     assert sq.agrees_with(u.series * u.series)
+
+
+def test_unit_pow_integer_stops_at_last_binomial(monkeypatch):
+    # binom(q, i) = 0 for i > q: u^2 and u^3 take 2 and 3 series products
+    data = {
+        Fraction(k, 2): Fraction((-1) ** k * (k % 7 + 1), k % 3 + 1)
+        for k in range(1, 23)
+    }
+    u = OneUnit(ts({0: 1, **data}, 12))
+    assert len(u.series.terms) == 23
+    calls = []
+    real_mul = TruncatedSeries.__mul__
+
+    def counting_mul(self, other):
+        calls.append(1)
+        return real_mul(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counting_mul)
+    square = unit_pow(u, 2)
+    square_calls = len(calls)
+    cube = unit_pow(u, 3)
+    cube_calls = len(calls) - square_calls
+    monkeypatch.undo()
+    assert (square_calls, cube_calls) == (2, 3)
+    assert square.series == u.series * u.series
+    assert cube.series == u.series * u.series * u.series
 
 
 def test_unit_pow_bilinearity(rng):
@@ -336,6 +363,23 @@ def test_puiseux_recovers_constructed_factorizations(rng):
         for expected in (r1, r2):
             assert any(r.agrees_with(expected.truncate(7)) for r in roots)
         recovered += 1
+    # cubics with root valuations 0, 1 and 2: every initial form is linear
+    for _ in range(12):
+        planted = []
+        for v in range(3):
+            data = {v: rng.choice((-3, -2, -1, 1, 2, 3))}
+            for _ in range(rng.randint(0, 2)):
+                data[Fraction(2 * v + rng.randint(1, 8), 2)] = rng.randint(-3, 3)
+            planted.append(ts(data, 9))
+        r1, r2, r3 = planted
+        q = SeriesPolynomial(
+            [-(r1 * r2 * r3), r1 * r2 + r1 * r3 + r2 * r3, -(r1 + r2 + r3), one(9)]
+        )
+        roots = newton_puiseux(q, 7)
+        assert len(roots) == 3
+        assert all(roots[i] != roots[j] for i in range(3) for j in range(i))
+        for expected in planted:
+            assert any(r.agrees_with(expected.truncate(7)) for r in roots)
 
 
 def test_puiseux_cubic_with_distinct_valuations():
@@ -368,6 +412,51 @@ def test_puiseux_branch_count_and_multiplicity_split():
     ]
     only_one = newton_puiseux(q, 4, branch_count=1)
     assert len(only_one) == 1
+
+
+def binomial_shift(q, c, mu):
+    """Coefficients of q(c*t^mu + y) by the binomial expansion:
+    the coefficient of y^j is sum over i >= j of binom(i, j) c^(i-j)
+    t^((i-j) mu) q_i."""
+    coeffs = q.coeffs
+    d = len(coeffs) - 1
+    out = []
+    for j in range(d + 1):
+        acc = None
+        for i in range(j, d + 1):
+            factor = Coefficient.const(comb(i, j)) * c ** (i - j)
+            term = coeffs[i].shift_scale(factor, mu.scale(i - j))
+            acc = term if acc is None else acc + term
+        out.append(acc)
+    return SeriesPolynomial(out)
+
+
+def test_shift_poly_matches_binomial_expansion(rng):
+    shifts = (
+        Coefficient.const(2),
+        Coefficient.const(Fraction(-1, 3)),
+        a1,
+        Coefficient.one() / (1 + a1),
+    )
+    slopes = [
+        as_exponent(m)
+        for m in (1, Fraction(1, 2), Fraction(3, 2), Fraction(-1, 2), -2)
+    ]
+    for k in range(100):
+        variables = (1,) if k % 2 else ()
+        deg = 1 + k % 5
+        coeffs = [
+            rand_series(
+                rng,
+                prec=rng.choice((3, Fraction(7, 2), 5, 6)),
+                variables=variables,
+                nonzero=i == deg,
+            )
+            for i in range(deg + 1)
+        ]
+        q = SeriesPolynomial(coeffs)
+        c, mu = rng.choice(shifts), rng.choice(slopes)
+        assert _shift_poly(q, c, mu).coeffs == binomial_shift(q, c, mu).coeffs
 
 
 # -- rational reconstruction ----------------------------------------------------

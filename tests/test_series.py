@@ -52,6 +52,25 @@ def test_add_mul_examples():
     assert v_min(f * g) == as_exponent(Fraction(5, 6))
 
 
+def test_add_disjoint_supports_canonicalizes_nothing(monkeypatch):
+    import hahnseries.coeffs as coeffs_mod
+
+    left = ts({k: (a1 + k) / (a2 + 1) for k in range(4)}, 6)
+    right = ts({Fraction(2 * k + 1, 2): (a2 - k) / (a1 + 2) for k in range(5)}, 5)
+    calls = []
+    real_gcd = coeffs_mod.poly_gcd
+
+    def counting_gcd(*args):
+        calls.append(args)
+        return real_gcd(*args)
+
+    monkeypatch.setattr(coeffs_mod, "poly_gcd", counting_gcd)
+    total = left + right
+    monkeypatch.undo()
+    assert calls == []
+    assert total == ts({**dict(left.terms), **dict(right.terms)}, 5)
+
+
 def test_precision_propagation():
     f = ts({0: 1, 1: 1}, 2)
     g = ts({0: 1}, 1)

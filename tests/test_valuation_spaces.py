@@ -450,6 +450,25 @@ def test_restricted_exp_skeleton_mismatch():
         build_restricted_exp(additive, units)
 
 
+def test_restricted_exp_leading_coefficient_mismatch():
+    with pytest.raises(SkeletonMismatchError, match="spaces differ at value 1$"):
+        build_restricted_exp(
+            BasisFamily([t_mono(6)], QQ), [OneUnit(one(6) + t_mono(6, c=a1))]
+        )
+    # both classes mismatch; the least value is named
+    with pytest.raises(SkeletonMismatchError, match="spaces differ at value 1$"):
+        build_restricted_exp(
+            BasisFamily([t_mono(6, 2), t_mono(6)], QQ),
+            [OneUnit(one(6) + t_mono(6, c=a1)), OneUnit(one(6) + t_mono(6, 2, c=a1))],
+        )
+    # a span mismatch at value 1 is reported before a dimension mismatch at 2
+    with pytest.raises(SkeletonMismatchError, match="spaces differ at value 1$"):
+        build_restricted_exp(
+            BasisFamily([t_mono(6), t_mono(6, 2), t_mono(6, 2, c=a1)], QQ),
+            [OneUnit(one(6) + t_mono(6, c=a1)), OneUnit(one(6) + t_mono(6, 2))],
+        )
+
+
 def test_restricted_exp_matches_exp_on_samples(rng):
     additive = BasisFamily([t_mono(8), t_mono(8, 2)], QQ)
     units = [exp(t_mono(8)), exp(t_mono(8, 2))]
