@@ -3,10 +3,13 @@ expansion, and rational reconstruction.
 
 exp, log and rational powers of 1-units are the truncations of the
 characteristic-zero series sum(x^i/i!), sum((-1)^(i+1) x^i / i) and the
-binomial series sum(binom(q, i) x^i), all summed by series.power_series;
-they are defined exactly when finitely many terms reach the precision
-bound, i.e. when some integer multiple of the argument's valuation
-dominates the precision.  In a lexicographic exponent group of rank > 1
+binomial series sum(binom(q, i) x^i).  Each solves a first-order equation
+(1 + lam*X) F' = q*F + mu, so series.first_order computes every output
+coefficient by one convolution with the argument, from the derivation
+theta(t^e) = e_j t^e (Miller's recurrence), without series powers.  They
+are defined exactly when finitely many terms reach the precision bound,
+i.e. when some integer multiple of the argument's valuation dominates
+the precision.  In a lexicographic exponent group of rank > 1
 that can fail, and the operations refuse rather than return silently
 wrong output.
 
@@ -18,14 +21,13 @@ increases each step.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, chain, count, islice
-from math import factorial, lcm
+from math import lcm
 
 from .coeffs import Coefficient
 from .errors import PrecisionError, PreconditionError
 from .exponents import Exponent, as_exponent, reach_count
 from .linalg import kernel_vector, rref
-from .series import SeriesPolynomial, TruncatedSeries, eval_poly, power_series
+from .series import SeriesPolynomial, TruncatedSeries, eval_poly, first_order
 
 __all__ = [
     "OneUnit",
@@ -92,28 +94,32 @@ class OneUnit:
 
 
 def exp(eps: TruncatedSeries) -> OneUnit:
-    """exp(eps) = sum(eps^i / i!) truncated at the precision bound."""
-    return OneUnit(power_series(eps, (Fraction(1, factorial(i)) for i in count())))
+    """exp(eps), truncated at the precision bound: g' = g, g(0) = 1.
+
+    Coefficient by coefficient, e_j g_e = sum_b b_j eps_b g_(e-b).
+    """
+    return OneUnit(first_order(eps, 0, 1, 0))
 
 
 def log(u: OneUnit) -> TruncatedSeries:
-    """log(1 + delta) = sum((-1)^(i+1) delta^i / i), inverse of exp."""
-    tail = (Fraction((-1) ** (i + 1), i) for i in count(1))
-    return power_series(u.delta(), chain([0], tail))
+    """log(1 + delta), inverse of exp: (1 + X) g' = 1, g(0) = 0.
+
+    Coefficient by coefficient,
+    e_j g_e = e_j delta_e - sum_b (e - b)_j delta_b g_(e-b).
+    """
+    return first_order(u.delta(), 1, 0, 1)
 
 
 def unit_pow(u: OneUnit, q) -> OneUnit:
-    """u^q = sum(binom(q, i) delta^i) for u = 1 + delta and rational q."""
+    """u^q for u = 1 + delta and rational q: (1 + X) g' = q g, g(0) = 1.
+
+    Coefficient by coefficient (Miller's power recurrence),
+    e_j g_e = sum_b (q b_j - (e - b)_j) delta_b g_(e-b).
+    """
     q = q if isinstance(q, Fraction) else Fraction(q)
-    if q == 0:  # 1 even where the sum would refuse (rank > 1)
+    if q == 0:  # 1 even where the recurrence would refuse (rank > 1)
         return OneUnit(TruncatedSeries.one(u.series.prec))
-    # binom(q, i) = binom(q, i - 1) * (q - i + 1) / i
-    binomials = accumulate(
-        count(1), lambda c, i: c * (q - i + 1) / i, initial=Fraction(1)
-    )
-    if q.denominator == 1 and q > 0:  # binom(q, i) = 0 for i > q
-        binomials = islice(binomials, int(q) + 1)
-    return OneUnit(power_series(u.delta(), binomials))
+    return OneUnit(first_order(u.delta(), 1, q, 0))
 
 
 def hensel_lift(

@@ -97,6 +97,12 @@ class Coefficient:
     def is_const(self) -> bool:
         return self.num.is_const() and self.den.is_const()
 
+    def scale(self, q) -> "Coefficient":
+        """Multiply by a rational; no gcd, as q != 0 keeps the form canonical."""
+        if not q:
+            return Coefficient.zero()
+        return Coefficient(self.num.scale(q), self.den, _canonical=True)
+
     def as_fraction(self) -> Fraction:
         if not self.is_const():
             raise ValueError(f"not a constant: {self}")

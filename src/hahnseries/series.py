@@ -11,7 +11,6 @@ records.  All ring operations attach the weakest correct precision.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 
 from .coeffs import INFINITE, Coefficient, Place, apply_place, as_coefficient
 from .errors import (
@@ -31,7 +30,7 @@ __all__ = [
     "split_neg",
     "residue",
     "eval_poly",
-    "power_series",
+    "first_order",
     "specialize_poly",
 ]
 
@@ -189,10 +188,9 @@ class TruncatedSeries:
             raise PreconditionError("cannot invert a series that is zero at precision")
         v, c0 = self.terms[0]
         c0_inv = Coefficient.one() / c0
-        # 1/u = sum (1 - u)^i for the 1-unit u, known modulo prec - v
+        # 1/u = (1 + x)^(-1) for the 1-unit u = 1 + x, known modulo prec - v
         unit = self.shift_scale(c0_inv, -v)
-        inv_unit = power_series(TruncatedSeries.one(unit.prec) - unit, repeat(1))
-        return inv_unit.shift_scale(c0_inv, -v)
+        return first_order(unit - 1, 1, -1, 0).shift_scale(c0_inv, -v)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -396,29 +394,75 @@ def eval_poly(q, f: TruncatedSeries) -> TruncatedSeries:
     return acc
 
 
-def power_series(x: TruncatedSeries, coeffs) -> TruncatedSeries:
-    """Sum c_i * x^i for an infinitesimal x, truncated at x.prec.
+def first_order(x: TruncatedSeries, lam, q, mu) -> TruncatedSeries:
+    """g = F(x) for an infinitesimal x, truncated at x.prec, where F solves
+    (1 + lam*X) * F' = q*F + mu with F(0) = 1 - mu.
 
-    coeffs yields c_0, c_1, ... and is read only as far as needed: the
-    sum stops before the first i with i * v_min(x) >= prec, or where
-    coeffs runs out (a finite coeffs means c_i = 0 beyond it).  When no
-    integer multiple of the valuation reaches the precision (possible at
-    rank > 1) that sum is infinite, and the call refuses.
+    Let j be the archimedean class of v_min(x).  The derivation
+    theta(t^e) = e_j * t^e turns the equation into
+    (1 + lam*x) * theta(g) = (q*g + mu) * theta(x), so each coefficient of
+    g is one convolution over supp(x) (J. C. P. Miller's recurrence):
+
+        e_j g_e = mu e_j x_e + sum_b (q b_j - lam (e - b)_j) x_b g_(e-b).
+
+    g lives on the monoid that supp(x) generates, cut at prec, taken in
+    increasing order.  That set is finite exactly when some integer
+    multiple of the valuation reaches the precision; at rank > 1 it may
+    not, and the call refuses.  Every e of the set has the zero prefix of
+    v_min(x) before j, so e_j >= v_j > 0.
     """
     zero = x.prec.scale(0)
     if not x.prec > zero:
         raise PreconditionError("argument precision must exceed 0")
     if x.terms and not x.terms[0][0] > zero:
         raise PreconditionError(f"v_min must be positive, got {x.terms[0][0]}")
-    n = reach_count(x.v_floor(), x.prec)
-    if n is None:
+    if reach_count(x.v_floor(), x.prec) is None:
         raise PrecisionError(
             "precision unreachable by integer multiples of the valuation"
         )
-    coeffs = iter(coeffs)
-    acc = TruncatedSeries.one(x.prec).scalar_mul(next(coeffs))
-    power = TruncatedSeries.one(x.prec)
-    for _, c in zip(range(1, n), coeffs):
-        power = power * x
-        acc = acc + power.scalar_mul(c)
-    return acc
+    xs = {e.coords: c for e, c in x.terms}
+    support = _monoid_below(xs, zero.coords, x.prec.coords)
+    g = {zero.coords: Coefficient.const(1 - mu)} if mu != 1 else {}
+    j = x.v_floor().arch_class() - 1
+    for e in support[1:]:
+        ej = e[j]
+        parts = [xs[e].scale(mu)] if mu and e in xs else []
+        for b, xb in xs.items():
+            if b > e:
+                break
+            d = tuple(s - t for s, t in zip(e, b))
+            gd = g.get(d)
+            if gd is None:
+                continue
+            w = q * b[j] - lam * d[j]
+            if w:
+                parts.append((xb * gd).scale(w / ej))
+        if parts:
+            ge = sum(parts[1:], parts[0])
+            if not ge.is_zero():
+                g[e] = ge
+    out = TruncatedSeries.zero(x.prec)
+    out.terms = tuple((Exponent(e), g[e]) for e in support if e in g)
+    return out
+
+
+def _monoid_below(gens, zero, prec):
+    """0 and the sums of elements of gens below prec, in increasing order.
+
+    gens are positive coords tuples in increasing order; the set must be
+    finite (the caller checks with reach_count).
+    """
+    seen = {zero}
+    frontier = [zero]
+    while frontier:
+        new = []
+        for s in frontier:
+            for b in gens:
+                e = tuple(u + v for u, v in zip(s, b))
+                if not e < prec:
+                    break
+                if e not in seen:
+                    seen.add(e)
+                    new.append(e)
+        frontier = new
+    return sorted(seen)

@@ -41,6 +41,18 @@ def test_canonical_form_unique(rng):
         assert lhs.num == rhs.num and lhs.den == rhs.den
 
 
+def test_scale_matches_product_with_constant(rng):
+    for _ in range(200):
+        c = rand_coeff(rng, (1, 2))
+        q = Fraction(rng.choice((-1, 1)) * rng.randint(1, 7), rng.randint(1, 5))
+        scaled = c.scale(q)
+        assert scaled == c * Coefficient.const(q)
+        assert scaled.den.leading_coeff() == 1
+    zero = rand_coeff(rng, (1, 2)).scale(0)
+    assert zero == Coefficient.zero()
+    assert zero.den == Coefficient.one().den
+
+
 def test_zero_and_division():
     assert (a1 - a1).is_zero()
     with pytest.raises(ZeroDivisionError):

@@ -12,9 +12,16 @@ from fractions import Fraction
 from conftest import rand_eps, rand_series
 from hahnseries.analytic import OneUnit, exp, hensel_lift, log, unit_pow
 from hahnseries.coeffs import Coefficient
+from hahnseries.exponents import Exponent
 from hahnseries.series import SeriesPolynomial, TruncatedSeries, eval_poly
 
 HIGH = 20
+HIGH2 = (6, 0)
+RANK2_SUPPORTS = (
+    [(1, -1), (1, 0), (1, 2)],
+    [(1, -1), (1, 0), (2, -3)],
+    [(1, 0), (1, 1), (2, -1)],
+)
 
 
 def with_tail(rng, f, variables=()):
@@ -26,6 +33,17 @@ def with_tail(rng, f, variables=()):
         if c:
             data[e] = data.get(e, Coefficient.zero()) + c
     return TruncatedSeries(data, HIGH)
+
+
+def with_rank2_tail(rng, f):
+    """Extend a rank-2 f above its precision bound, up to HIGH2."""
+    data = dict(f.terms)
+    p0, p1 = f.prec.coords
+    for _ in range(rng.randint(1, 3)):
+        a = rng.randint(0, 2)
+        e = Exponent((p0 + a, p1 + rng.randint(0 if a == 0 else -3, 3)))
+        data[e] = data.get(e, Coefficient.zero()) + rng.choice((-2, -1, 1, 2))
+    return TruncatedSeries(data, HIGH2)
 
 
 def agree_below(a, b, bound):
@@ -75,6 +93,29 @@ def test_exp_log_precision_sound(rng):
         u_small = OneUnit(TruncatedSeries.one(eps.prec) + eps)
         u_big = OneUnit(TruncatedSeries.one(HIGH) + positive)
         assert agree_below(log(u_big), log(u_small), log(u_small).prec)
+
+
+def test_rank2_exp_log_inv_precision_sound():
+    # reachable rank-2 arguments: every support element is in class 1
+    rng = random.Random(5)
+    for k in range(30):
+        support = RANK2_SUPPORTS[k % 3]
+        picked = rng.sample(support, rng.randint(1, len(support)))
+        eps = TruncatedSeries(
+            {e: Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2))) for e in picked},
+            (3, 0),
+        )
+        full = with_rank2_tail(rng, eps)
+        truncated = exp(eps).series
+        assert agree_below(exp(full).series, truncated, truncated.prec)
+        small = log(OneUnit(TruncatedSeries.one(eps.prec) + eps))
+        big = log(OneUnit(TruncatedSeries.one(HIGH2) + full))
+        assert agree_below(big, small, small.prec)
+        c0 = Fraction(rng.choice((-2, 1, 3)), rng.choice((1, 3)))
+        f = eps + c0
+        truncated = f.inv()
+        assert truncated.terms
+        assert agree_below((full + c0).inv(), truncated, truncated.prec)
 
 
 def test_unit_pow_precision_sound(rng):

@@ -1,21 +1,27 @@
+import random
 from fractions import Fraction
+from itertools import accumulate, chain, count, islice, repeat
+from math import factorial
 
 import pytest
 
-from conftest import rand_series
+from conftest import rand_coeff, rand_series
+from hahnseries.analytic import OneUnit, exp, log, unit_pow
 from hahnseries.coeffs import Coefficient, Place
 from hahnseries.errors import (
+    HahnSeriesError,
     NotInValuationRingError,
     PrecisionError,
     PreconditionError,
     RankMismatchError,
 )
-from hahnseries.exponents import Exponent, as_exponent
+from hahnseries.exponents import Exponent, as_exponent, reach_count
 from hahnseries.series import (
     AtLeast,
     SeriesPolynomial,
     TruncatedSeries,
     eval_poly,
+    first_order,
     phi_P,
     residue,
     specialize_poly,
@@ -247,3 +253,142 @@ def test_str_examples():
     )
     assert str(ts({}, 3)) == "0 + O(t^3)"
     assert str(ts({0: 1, 1: -1}, 4)) == "1 - t + O(t^4)"
+
+
+# The truncated power sums that first_order replaced, kept as an oracle:
+# sum c_i * x^i by series products, up to the first i with i*v(x) >= prec.
+
+
+def power_series(x, coeffs):
+    zero = x.prec.scale(0)
+    if not x.prec > zero:
+        raise PreconditionError("argument precision must exceed 0")
+    if x.terms and not x.terms[0][0] > zero:
+        raise PreconditionError(f"v_min must be positive, got {x.terms[0][0]}")
+    n = reach_count(x.v_floor(), x.prec)
+    if n is None:
+        raise PrecisionError(
+            "precision unreachable by integer multiples of the valuation"
+        )
+    coeffs = iter(coeffs)
+    acc = TruncatedSeries.one(x.prec).scalar_mul(next(coeffs))
+    power = TruncatedSeries.one(x.prec)
+    for _, c in zip(range(1, n), coeffs):
+        power = power * x
+        acc = acc + power.scalar_mul(c)
+    return acc
+
+
+def exp_coeffs():
+    return (Fraction(1, factorial(i)) for i in count())
+
+
+def log_coeffs():
+    return chain([0], (Fraction((-1) ** (i + 1), i) for i in count(1)))
+
+
+def binomials(q):
+    out = accumulate(count(1), lambda c, i: c * (q - i + 1) / i, initial=Fraction(1))
+    if q.denominator == 1 and q > 0:
+        out = islice(out, int(q) + 1)
+    return out
+
+
+def inv_by_power_sum(f):
+    if not f.terms:
+        raise PreconditionError("cannot invert a series that is zero at precision")
+    v, c0 = f.terms[0]
+    c0_inv = Coefficient.one() / c0
+    unit = f.shift_scale(c0_inv, -v)
+    inv_unit = power_series(TruncatedSeries.one(unit.prec) - unit, repeat(1))
+    return inv_unit.shift_scale(c0_inv, -v)
+
+
+def outcome(fn):
+    try:
+        out = fn()
+    except HahnSeriesError as err:
+        return type(err), str(err)
+    return out.series if isinstance(out, OneUnit) else out
+
+
+POW_EXPONENTS = [Fraction(n, d) for n, d in ((2, 1), (3, 1), (-1, 1), (-6, 1), (1, 3), (-5, 2))]
+
+
+def oracle_cases(rng):
+    """Seeded arguments x for F(x): rank 1 on three grids over Q and Q(a1),
+    rank 2 reachable and not, zero, empty and non-infinitesimal ones."""
+    cases = []
+    for k in range(200):
+        den = (1, 2, 3)[k % 3]
+        symbolic = k % 4 == 3
+        top = 8 if symbolic else 6 * den
+        prec = Fraction(rng.randint(1, top), den)
+        terms = rng.randint(0, 5 if symbolic else 7)
+        data = {}
+        for _ in range(terms):
+            e = Fraction(rng.randint(1, top), den)
+            if symbolic:
+                data[e] = rand_coeff(rng, (1,), max_deg=1)
+            else:
+                data[e] = Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3)))
+        cases.append(TruncatedSeries(data, prec))
+    reachable = [
+        ([(1, -1), (1, 0), (1, 2)], (3, 0)),
+        ([(1, -1), (1, 0), (2, -3)], (3, 0)),
+        ([(1, 0), (1, 1), (2, -1)], (3, 0)),
+        ([(0, 1), (0, 3)], (0, 4)),  # archimedean class 2
+        ([(0, Fraction(1, 2)), (0, 2)], (0, Fraction(7, 2))),
+    ]
+    unreachable = [
+        ([(0, 1)], (1, 0)),
+        ([(0, 1), (1, 0)], (2, 0)),
+        ([(0, 2), (1, -1)], (3, 0)),
+        ([(0, 1), (0, 2)], (1, -1)),
+    ]
+    for supports, weight in ((reachable, 16), (unreachable, 6)):
+        for support, prec in supports:
+            for _ in range(weight):
+                picked = rng.sample(support, rng.randint(1, len(support)))
+                data = {e: Fraction(rng.randint(1, 4) * rng.choice((1, -1)), rng.choice((1, 2))) for e in picked}
+                cases.append(TruncatedSeries(data, prec))
+    cases += [
+        TruncatedSeries({}, 3),
+        TruncatedSeries({}, (1, 0)),
+        TruncatedSeries({1: 0}, Fraction(5, 2)),
+        TruncatedSeries({0: 1, 1: 2}, 4),
+        TruncatedSeries({-1: 1, 2: 1}, 4),
+        TruncatedSeries({Fraction(-1, 2): 3}, 2),
+        TruncatedSeries({(0, -1): 1, (1, 0): 1}, (2, 0)),
+        TruncatedSeries({}, 0),
+        TruncatedSeries({Fraction(-1): 2}, Fraction(-1, 2)),
+    ]
+    return cases
+
+
+def test_first_order_matches_power_sums():
+    rng = random.Random(1729)
+    cases = oracle_cases(rng)
+    assert len(cases) >= 300
+    refusals = 0
+    for x in cases:
+        q = rng.choice(POW_EXPONENTS)
+        pairs = [
+            (lambda: exp(x), lambda: OneUnit(power_series(x, exp_coeffs()))),
+            (lambda: first_order(x, 1, 0, 1), lambda: power_series(x, log_coeffs())),
+            (lambda: first_order(x, 1, q, 0), lambda: power_series(x, binomials(q))),
+        ]
+        if x.prec > x.prec.scale(0):
+            u = TruncatedSeries.one(x.prec) + x
+            if x.terms and x.terms[0][0] > x.prec.scale(0):
+                pairs += [
+                    (lambda: log(OneUnit(u)), lambda: power_series(x, log_coeffs())),
+                    (lambda: unit_pow(OneUnit(u), q), lambda: power_series(x, binomials(q))),
+                ]
+            pairs.append((lambda: u.inv(), lambda: inv_by_power_sum(u)))
+        pairs.append((lambda: x.inv(), lambda: inv_by_power_sum(x)))
+        for kernel, oracle in pairs:
+            got, want = outcome(kernel), outcome(oracle)
+            assert got == want, (str(x), q)
+            refusals += isinstance(want, tuple)
+    assert refusals > 100
