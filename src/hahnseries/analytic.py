@@ -351,7 +351,6 @@ def newton_puiseux(
         raise PreconditionError("expansion requires rank-1 exponents")
     if q.degree < 1:
         raise PreconditionError("polynomial must have positive degree")
-    _check_squarefree(q)
     budget = [max_steps]
 
     def expand(poly, mu_lower):
@@ -393,7 +392,9 @@ def newton_puiseux(
                     out.append(root)
         return out
 
-    roots = [TruncatedSeries(data, prec) for data in expand(q, None)]
+    data = expand(q, None)  # the polygon's cheap refusals come first
+    _check_squarefree(q)
+    roots = [TruncatedSeries(d, prec) for d in data]
     roots.sort(key=lambda s: [(e.coords, str(c)) for e, c in s.terms])
     if branch_count is not None:
         roots = roots[:branch_count]

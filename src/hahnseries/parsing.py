@@ -240,23 +240,22 @@ class _Parser:
 
     def finalize(self, tag, payload, tok):
         if tag == "t":
-            unit = as_exponent((1,) + (0,) * (self.rank - 1))
-            return TruncatedSeries.monomial(1, unit, self.prec)
+            return TruncatedSeries.monomial(1, self.t_exponent(1, tok), self.prec)
         if tag == "y":
             return _PolyBuilder({1: Coefficient.one()})
         return payload
 
+    def t_exponent(self, e, tok):
+        """The exponent of t^e at the session rank; a rational pads with zeros."""
+        if not isinstance(e, tuple):
+            e = (e,) + (0,) * (self.rank - 1)
+        elif len(e) != self.rank:
+            self.fail(f"exponent tuple of length {len(e)} at rank {self.rank}", tok)
+        return as_exponent(e)
+
     def apply_power(self, tag, payload, exponent, caret):
         if tag == "t":
-            if isinstance(exponent, tuple):
-                if len(exponent) != self.rank:
-                    self.fail(
-                        f"exponent tuple of length {len(exponent)} at rank {self.rank}",
-                        caret,
-                    )
-                e = as_exponent(exponent)
-            else:
-                e = as_exponent((exponent,) + (Fraction(0),) * (self.rank - 1))
+            e = self.t_exponent(exponent, caret)
             return TruncatedSeries.monomial(1, e, self.prec)
         if isinstance(exponent, tuple):
             self.fail("tuple exponents only apply to t", caret)
@@ -277,20 +276,22 @@ class _Parser:
                 self.fail("negative power of y", caret)
             return _PolyBuilder({n: Coefficient.one()})
         value = self.finalize(tag, payload, caret)
-        if isinstance(value, _PolyBuilder):
-            if n < 0:
+        if isinstance(value, Coefficient):
+            return value**n
+        if n < 0:
+            if isinstance(value, _PolyBuilder):
                 self.fail("negative power of a polynomial in y", caret)
-            out = _PolyBuilder({0: Coefficient.one()})
-            for _ in range(n):
-                out = self.mul(out, value)
-            return out
-        if isinstance(value, TruncatedSeries):
-            base = value.inv() if n < 0 else value
-            out = TruncatedSeries.one(base.prec)
-            for _ in range(abs(n)):
-                out = out * base
-            return out
-        return value**n
+            value = value.inv()
+        if n == 0:
+            if isinstance(value, _PolyBuilder):
+                return _PolyBuilder({0: Coefficient.one()})
+            return TruncatedSeries.one(value.prec)
+        # start from the base: a product with 1 would lose precision when
+        # v(base) < 0 and would give nothing when base.prec <= 0
+        out = value
+        for _ in range(abs(n) - 1):
+            out = self.mul(out, value)
+        return out
 
     def atom(self):
         tok = self.advance()
@@ -312,15 +313,7 @@ class _Parser:
                 else:
                     e = Fraction(1)
                 self.expect(")")
-                if isinstance(e, tuple):
-                    if len(e) != self.rank:
-                        self.fail(
-                            f"exponent tuple of length {len(e)} at rank {self.rank}",
-                            tok,
-                        )
-                    bound = as_exponent(e)
-                else:
-                    bound = as_exponent((e,) + (Fraction(0),) * (self.rank - 1))
+                bound = self.t_exponent(e, tok)
                 return "value", TruncatedSeries.zero(min(bound, self.prec)), tok
             if tok.text.startswith("a") and tok.text[1:].isdigit():
                 idx = int(tok.text[1:])

@@ -360,13 +360,12 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     while True:
         r = _prem(a, b, var)
         if r.is_zero():
-            g = b
+            g = b  # already primitive: pp, pq or a primitive remainder
             break
         if r.deg_in(var) == 0:
             g = Poly.one()
             break
         a, b = b, _content_primitive(r, var)[1]
-    g = _content_primitive(g, var)[1]
     return (cont * g).monic()
 
 

@@ -144,7 +144,11 @@ class TruncatedSeries:
         if c.is_zero():
             return TruncatedSeries.zero(self.prec)
         out = TruncatedSeries.zero(self.prec)
-        out.terms = tuple((e, k * c) for e, k in self.terms)
+        if c.is_const():  # a rational keeps each term canonical: no gcd
+            q = c.as_fraction()
+            out.terms = tuple((e, k.scale(q)) for e, k in self.terms)
+        else:
+            out.terms = tuple((e, k * c) for e, k in self.terms)
         return out
 
     def shift_scale(self, c, e) -> "TruncatedSeries":
@@ -272,42 +276,18 @@ def _t_power(e: Exponent) -> str:
 
 
 def _term_str(e: Exponent, c: Coefficient, first: bool) -> str:
-    zero = e.scale(0)
-    simple = (
-        c.den.is_const()
-        and c.den.const_value() == 1
-        and len(c.num.terms) == 1
-    )
-    sign = ""
-    body = None
-    if simple:
-        mono, q = next(iter(c.num.terms.items()))
-        if q < 0:
-            sign = "-"
-            q = -q
-        mono_txt = "*".join(f"a{v}^{p}" if p > 1 else f"a{v}" for v, p in mono)
-        if e == zero:
-            body = mono_txt if q == 1 and mono_txt else (
-                f"{q}*{mono_txt}" if mono_txt else str(q)
-            )
-        else:
-            t = _t_power(e)
-            if q == 1 and not mono_txt:
-                body = t
-            elif mono_txt:
-                qtxt = "" if q == 1 else f"{q}*"
-                body = f"{qtxt}{mono_txt}*{t}"
-            else:
-                body = f"{q}*{t}"
+    # a single-term coefficient over 1 lends its sign to the term
+    simple = c.den.is_const() and c.den.const_value() == 1 and len(c.num.terms) == 1
+    negative = simple and next(iter(c.num.terms.values())) < 0
+    txt = str(-c if negative else c)
+    if e != e.scale(0):
+        t = _t_power(e)
+        body = t if txt == "1" else (f"{txt}*{t}" if simple else f"({txt})*{t}")
     else:
-        txt = str(c)
-        if e == zero:
-            body = txt
-        else:
-            body = f"({txt})*{_t_power(e)}"
+        body = txt
     if first:
-        return f"{sign}{body}"
-    return f"{'-' if sign else '+'} {body}"
+        return f"-{body}" if negative else body
+    return f"{'-' if negative else '+'} {body}"
 
 
 class SeriesPolynomial:

@@ -134,10 +134,10 @@ class BasisFamily:
         return f"BasisFamily({len(self.entries)} entries over {self.scalars})"
 
 
-def _greedy_approx(f, entries, scalars):
+def _greedy_reduce(f, entries, scalars):
     """Leading-term elimination against an independent family.
 
-    Returns (approximant, remainder, combination coefficients).
+    Returns (remainder, combination coefficients).
     """
     coeffs = [Coefficient.zero()] * len(entries)
     remainder = f
@@ -157,22 +157,14 @@ def _greedy_approx(f, entries, scalars):
                 continue
             coeffs[i] = coeffs[i] + lam
             remainder = remainder - entries[i].scalar_mul(lam)
-    approx = None
-    for lam, b in zip(coeffs, entries):
-        if lam.is_zero():
-            continue
-        term = b.scalar_mul(lam)
-        approx = term if approx is None else approx + term
-    if approx is None:
-        approx = TruncatedSeries.zero(f.prec)
-    return approx, remainder, coeffs
+    return remainder, coeffs
 
 
 def _independent_representatives(entries, scalars):
     """An independent family spanning the same space, by a greedy sweep."""
     base = []
     for e in entries:
-        _, rem, _ = _greedy_approx(e, base, scalars)
+        rem, _ = _greedy_reduce(e, base, scalars)
         if rem.terms:
             base.append(rem)
     return base
@@ -188,21 +180,21 @@ def optimal_approx(f, basis, scalars=None, with_coeffs=False):
     if isinstance(basis, BasisFamily):
         entries = basis.entries
         scalars = basis.scalars
+    else:
+        if scalars is None:
+            scalars = ScalarField.rationals()
+        entries = _independent_representatives(list(basis), scalars)
         if with_coeffs:
-            approx, _, coeffs = _greedy_approx(f, entries, scalars)
-            return approx, coeffs
-        return _greedy_approx(f, entries, scalars)[0]
-    if scalars is None:
-        scalars = ScalarField.rationals()
-    entries = _independent_representatives(list(basis), scalars)
-    if with_coeffs:
-        raise PreconditionError("with_coeffs requires a BasisFamily")
-    return _greedy_approx(f, entries, scalars)[0]
+            raise PreconditionError("with_coeffs requires a BasisFamily")
+    _, coeffs = _greedy_reduce(f, entries, scalars)
+    terms = [b.scalar_mul(lam) for lam, b in zip(coeffs, entries) if not lam.is_zero()]
+    approx = sum(terms[1:], terms[0]) if terms else TruncatedSeries.zero(f.prec)
+    return (approx, coeffs) if with_coeffs else approx
 
 
 def extend_basis(basis: BasisFamily, a: TruncatedSeries) -> BasisFamily:
     """Adjoin the reduced remainder of a unless a is already in the span."""
-    _, remainder, _ = _greedy_approx(a, basis.entries, basis.scalars)
+    remainder, _ = _greedy_reduce(a, basis.entries, basis.scalars)
     if not remainder.terms:
         return basis
     return BasisFamily(basis.entries + (remainder,), basis.scalars)
@@ -372,7 +364,7 @@ class RestrictedExpMap:
         self.images = tuple(images)
 
     def apply(self, eps: TruncatedSeries) -> OneUnit:
-        approx, remainder, coeffs = _greedy_approx(
+        remainder, coeffs = _greedy_reduce(
             eps, self.additive.entries, self.additive.scalars
         )
         if remainder.terms:

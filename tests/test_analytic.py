@@ -344,6 +344,31 @@ def test_puiseux_non_squarefree():
         newton_puiseux(q, 5)
 
 
+def test_puiseux_polygon_refuses_before_the_resultant(monkeypatch):
+    import hahnseries.analytic as analytic_mod
+
+    calls = []
+    real = analytic_mod._resultant
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(analytic_mod, "_resultant", counting)
+    t = t_mono(6)
+    y = one(6)
+    # (y^3 - t)*(y - 1) = y^4 - y^3 - t*y + t
+    q = SeriesPolynomial([t, -t, TruncatedSeries.zero(6), -y, y])
+    with pytest.raises(PreconditionError, match="degree 3 exceeds the quadratic solver"):
+        newton_puiseux(q, 4)
+    assert calls == []
+    # an input the polygon accepts still runs the squarefree check
+    q = SeriesPolynomial([t * t, -t.scalar_mul(2), y])
+    with pytest.raises(PreconditionError, match="squarefree"):
+        newton_puiseux(q, 5)
+    assert len(calls) == 1
+
+
 def test_puiseux_recovers_constructed_factorizations(rng):
     recovered = 0
     while recovered < 60:

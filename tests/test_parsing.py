@@ -92,6 +92,36 @@ def test_negative_powers():
         parse("y^-1")
 
 
+def test_exponent_tuple_errors_name_their_token():
+    with pytest.raises(ParseError) as info:
+        parse("t^(1, 2)", rank=1)
+    assert str(info.value) == "exponent tuple of length 2 at rank 1 (line 1, column 2)"
+    with pytest.raises(ParseError) as info:
+        parse("1 + O(t^(1, 2, 3))", rank=2, default_prec=(5, 0))
+    assert str(info.value) == "exponent tuple of length 3 at rank 2 (line 1, column 5)"
+
+
+def test_integer_powers_equal_explicit_products():
+    # v(base) < 0 and prec <= 0 must not lose precision to a leading factor 1
+    cases = [
+        ("(t^-4 + O(t^0))^2", "(t^-4 + O(t^0))*(t^-4 + O(t^0))", "t^(-8) + O(t^(-4))"),
+        ("(t^-1 + 1)^2", "(t^-1 + 1)*(t^-1 + 1)", "t^(-2) + 2*t^(-1) + 1 + O(t^4)"),
+        (
+            "(t + t^2)^-2",
+            "(t + t^2)^-1*(t + t^2)^-1",
+            "t^(-2) - 2*t^(-1) + 3 - 4*t + O(t^2)",
+        ),
+    ]
+    for power, product, printed in cases:
+        v = parse(power, default_prec=5)
+        assert v == parse(product, default_prec=5)
+        assert str(v) == printed
+    assert parse("(1 + t)^0", default_prec=5) == TruncatedSeries.one(5)
+    assert parse("(y + t)^0", default_prec=5) == SeriesPolynomial([TruncatedSeries.one(5)])
+    with pytest.raises(ParseError, match="negative power of a polynomial in y"):
+        parse("(y + 1)^-2")
+
+
 def test_poly_division_by_series():
     v = parse("(y^2 - 1)/2", default_prec=4)
     assert isinstance(v, SeriesPolynomial)

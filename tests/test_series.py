@@ -20,6 +20,7 @@ from hahnseries.series import (
     AtLeast,
     SeriesPolynomial,
     TruncatedSeries,
+    _t_power,
     eval_poly,
     first_order,
     phi_P,
@@ -253,6 +254,115 @@ def test_str_examples():
     )
     assert str(ts({}, 3)) == "0 + O(t^3)"
     assert str(ts({0: 1, 1: -1}, 4)) == "1 - t + O(t^4)"
+
+
+# The term printer that rebuilt monomial text by hand, kept as an oracle for
+# the one that prints coefficients through Coefficient.__str__.
+
+
+def oracle_term_str(e, c, first):
+    zero = e.scale(0)
+    simple = (
+        c.den.is_const()
+        and c.den.const_value() == 1
+        and len(c.num.terms) == 1
+    )
+    sign = ""
+    body = None
+    if simple:
+        mono, q = next(iter(c.num.terms.items()))
+        if q < 0:
+            sign = "-"
+            q = -q
+        mono_txt = "*".join(f"a{v}^{p}" if p > 1 else f"a{v}" for v, p in mono)
+        if e == zero:
+            body = mono_txt if q == 1 and mono_txt else (
+                f"{q}*{mono_txt}" if mono_txt else str(q)
+            )
+        else:
+            t = _t_power(e)
+            if q == 1 and not mono_txt:
+                body = t
+            elif mono_txt:
+                qtxt = "" if q == 1 else f"{q}*"
+                body = f"{qtxt}{mono_txt}*{t}"
+            else:
+                body = f"{q}*{t}"
+    else:
+        txt = str(c)
+        if e == zero:
+            body = txt
+        else:
+            body = f"({txt})*{_t_power(e)}"
+    if first:
+        return f"{sign}{body}"
+    return f"{'-' if sign else '+'} {body}"
+
+
+def oracle_str(f):
+    parts = [oracle_term_str(e, c, first=not i) for i, (e, c) in enumerate(f.terms)]
+    return " ".join(parts or ["0"]) + f" + O({_t_power(f.prec)})"
+
+
+def printer_coefficient(rng):
+    kind = rng.randrange(6)
+    if kind == 0:
+        return Coefficient.const(rng.choice((1, -1)))
+    if kind == 1:
+        return Coefficient.const(Fraction(rng.randint(-9, 9) or 1, rng.choice((1, 2, 7))))
+    if kind == 2:
+        q = Fraction(rng.choice((1, -1, 3, -5)), rng.choice((1, 2)))
+        return a1**2 * Coefficient.alpha(3) * q
+    if kind == 3:  # a single transcendental, possibly negated
+        return Coefficient.alpha(rng.randint(1, 3)) * rng.choice((1, -1))
+    # multi-term numerators and rational functions
+    return rand_coeff(rng, (1, 2, 3), max_deg=2, allow_den=kind == 5)
+
+
+def printer_exponent(rng, rank):
+    coords = [Fraction(rng.randint(-6, 8), rng.choice((1, 1, 2, 3))) for _ in range(rank)]
+    return tuple(0 if rng.random() < 0.2 else c for c in coords)
+
+
+def test_str_matches_term_printer_oracle():
+    rng = random.Random(1307)
+    for i in range(2400):
+        rank = 1 if i % 3 else 2
+        data = {printer_exponent(rng, rank): printer_coefficient(rng)}
+        for _ in range(rng.randint(0, 5)):
+            data[printer_exponent(rng, rank)] = printer_coefficient(rng)
+        prec = (Fraction(rng.randint(-2, 18), 2),) + (Fraction(rng.randint(-2, 2)),) * (rank - 1)
+        f = ts(data, prec)
+        assert str(f) == oracle_str(f)
+        assert str(-f) == oracle_str(-f)
+
+
+def test_rational_scalar_mul_runs_no_gcd(monkeypatch):
+    import hahnseries.coeffs as coeffs_mod
+
+    f = ts({k: Fraction(k + 1, 3 + k) for k in range(16)}, 16)
+    cubic = SeriesPolynomial(
+        [ts({k: Fraction(d * k - 1, k + 2) for k in range(16)}, 16) for d in range(4)]
+    )
+    calls = []
+    real_gcd = coeffs_mod.poly_gcd
+
+    def counting_gcd(*args):
+        calls.append(args)
+        return real_gcd(*args)
+
+    monkeypatch.setattr(coeffs_mod, "poly_gcd", counting_gcd)
+    scaled = f.scalar_mul(Fraction(2, 3))
+    assert calls == []
+    derivative = cubic.derivative()
+    assert calls == []
+    monkeypatch.undo()
+    assert scaled == ts({e: c * Fraction(2, 3) for e, c in f.terms}, 16)
+    expected = [ts({e: k * i for e, k in c.terms}, 16) for i, c in enumerate(cubic.coeffs)]
+    assert derivative == SeriesPolynomial(expected[1:])
+    # a symbolic scalar still multiplies through the field
+    g = f.scalar_mul(a1 / (a1 + 1))
+    assert g == ts({e: c * (a1 / (a1 + 1)) for e, c in f.terms}, 16)
 
 
 # The truncated power sums that first_order replaced, kept as an oracle:

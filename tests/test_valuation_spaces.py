@@ -231,6 +231,36 @@ def test_extend_basis_idempotent(rng):
         assert is_valuation_independent(grown.entries, QQ).independent
 
 
+def test_elimination_callers_build_no_approximant(monkeypatch):
+    # only optimal_approx folds sum(lam_i * b_i); the others use the remainder
+    calls = []
+    real = TruncatedSeries.scalar_mul
+
+    def counting(self, c):
+        calls.append(c)
+        return real(self, c)
+
+    basis = BasisFamily([t_mono(6), ts({2: 1, 3: 1}, 6), t_mono(6, 4, c=5)], QQ)
+    a = ts({1: 2, 2: 3, 5: 1}, 6)
+    monkeypatch.setattr(TruncatedSeries, "scalar_mul", counting)
+    grown = extend_basis(basis, a)
+    assert len(calls) == 2
+    monkeypatch.undo()
+    assert grown.entries[-1] == ts({3: -3, 5: 1}, 6)
+
+    mapping = build_restricted_exp(
+        BasisFamily([t_mono(6), t_mono(6, 2)], QQ),
+        [OneUnit(one(6) + t_mono(6)), OneUnit(one(6) + t_mono(6, 2))],
+    )
+    calls.clear()
+    monkeypatch.setattr(TruncatedSeries, "scalar_mul", counting)
+    image = mapping.apply(ts({1: 2, 2: 3}, 6))
+    assert len(calls) == 2
+    monkeypatch.undo()
+    u1, u2 = one(6) + t_mono(6), one(6) + t_mono(6, 2)
+    assert image.agrees_with(u1 * u1 * u2 * u2 * u2)
+
+
 def test_basis_family_validates():
     with pytest.raises(DependenceError):
         BasisFamily([t_mono(5), t_mono(5, c=2)], QQ)
