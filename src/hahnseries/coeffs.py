@@ -124,12 +124,7 @@ class Coefficient:
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = as_coefficient(other)
-        if self.den == other.den:
-            return Coefficient(self.num - other.num, self.den)
-        return Coefficient(
-            self.num * other.den - other.num * self.den, self.den * other.den
-        )
+        return self + (-as_coefficient(other))
 
     def __rsub__(self, other):
         return as_coefficient(other) - self
@@ -204,6 +199,12 @@ class Place:
         return f"a{self.var} -> {self.q}"
 
 
+def _finite_den(c: Coefficient, place: Place):
+    """The denominator of c under the place, or None at a pole."""
+    den = c.den.subs_var(place.var, place.q)
+    return None if den.is_zero() else den
+
+
 def apply_place(c: Coefficient, place: Place):
     """Specialize one transcendental; INFINITE exactly at the poles.
 
@@ -211,8 +212,8 @@ def apply_place(c: Coefficient, place: Place):
     and at most one of them can vanish identically under the
     substitution; the map is a ring homomorphism wherever it is finite.
     """
-    den = c.den.subs_var(place.var, place.q)
-    if den.is_zero():
+    den = _finite_den(c, place)
+    if den is None:
         return INFINITE
     num = c.num.subs_var(place.var, place.q)
     return Coefficient(num, den)
@@ -246,7 +247,7 @@ def finite_place_for(cs, var, candidates=None) -> Place:
         if q == 0:
             continue
         place = Place(var, q)
-        if all(apply_place(c, place) is not INFINITE for c in cs):
+        if all(_finite_den(c, place) is not None for c in cs):
             return place
     raise PreconditionError(
         f"candidate budget exhausted while seeking a finite place for a{var}"

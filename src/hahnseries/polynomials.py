@@ -4,9 +4,13 @@ Support layer for the rational-function coefficient field.  Monomials
 are stored sparsely as tuples of (variable index, power) pairs with
 ascending indices; the empty tuple is 1.  The term order is graded lex
 throughout, which fixes leading coefficients and hence the canonical
-form of fractions.  Gcd uses content/primitive-part recursion with a
-primitive pseudo-remainder sequence (plain Euclid in the univariate
-case); exact division and perfect-square detection support place
+form of fractions.  Every algorithm that treats a polynomial as
+univariate in one variable works on its dense view: ``dense(p, var)``
+is the list of coefficients (polynomials in the other variables)
+indexed by power, and ``_join`` is its inverse.  Gcd uses
+content/primitive-part recursion with a primitive pseudo-remainder
+sequence on dense views (plain Euclid over Q when one variable is
+left); exact division and perfect-square detection support place
 specialization and quadratic initial forms.
 """
 
@@ -91,12 +95,10 @@ class Poly:
         return cls({(): q} if q else {})
 
     @classmethod
-    def variable(cls, j, power=1):
+    def variable(cls, j):
         if j < 1:
             raise ValueError("variable indices start at 1")
-        if power == 0:
-            return cls.one()
-        return cls({((j, power),): _ONE})
+        return cls({((j, 1),): _ONE})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -192,57 +194,13 @@ class Poly:
             n >>= 1
         return result
 
-    def deg_in(self, var) -> int:
-        d = 0
-        for m in self.terms:
-            for v, e in m:
-                if v == var and e > d:
-                    d = e
-        return d
-
-    def decompose(self, var):
-        """View as univariate in var: power -> Poly in the other variables."""
-        out = {}
-        for m, c in self.terms.items():
-            e = 0
-            rest = []
-            for v, p in m:
-                if v == var:
-                    e = p
-                else:
-                    rest.append((v, p))
-            bucket = out.setdefault(e, {})
-            rest = tuple(rest)
-            s = bucket.get(rest, _ZERO) + c
-            if s:
-                bucket[rest] = s
-            else:
-                bucket.pop(rest, None)
-        return {e: Poly(b) for e, b in out.items() if b}
-
-    def coeff_in(self, var, power) -> "Poly":
-        return self.decompose(var).get(power, Poly())
-
     def subs_var(self, var, q) -> "Poly":
-        """Substitute a rational for one variable."""
+        """Substitute a rational for one variable (Horner on the dense view)."""
         q = q if isinstance(q, Fraction) else Fraction(q)
-        out = {}
-        for m, c in self.terms.items():
-            e = 0
-            rest = []
-            for v, p in m:
-                if v == var:
-                    e = p
-                else:
-                    rest.append((v, p))
-            c = c * q**e
-            rest = tuple(rest)
-            s = out.get(rest, _ZERO) + c
-            if s:
-                out[rest] = s
-            else:
-                out.pop(rest, None)
-        return Poly(out)
+        out = Poly()
+        for c in reversed(dense(self, var)):
+            out = out.scale(q) + c
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
@@ -277,65 +235,72 @@ class Poly:
         return f"Poly({self})"
 
 
-def _uni_gcd(p: Poly, q: Poly, var) -> Poly:
-    """Euclidean gcd for univariate polynomials over Q."""
+def dense(p: Poly, var):
+    """p as a polynomial in var: its coefficients (polynomials in the other
+    variables) indexed by power, with the top entry nonzero; [] for 0."""
+    buckets = []
+    for m, c in p.terms.items():
+        e, rest = 0, m
+        for i, (v, k) in enumerate(m):
+            if v == var:
+                e, rest = k, m[:i] + m[i + 1 :]
+                break
+        while len(buckets) <= e:
+            buckets.append({})
+        buckets[e][rest] = c
+    return [Poly(b) for b in buckets]
 
-    def to_list(f):
-        d = f.decompose(var)
-        n = max(d, default=0)
-        return [d.get(i, Poly()).const_value() for i in range(n + 1)]
 
-    a, b = to_list(p), to_list(q)
+def _join(coeffs, var) -> Poly:
+    """Inverse of dense: the polynomial sum of coeffs[e] * var^e."""
+    out = {}
+    for e, c in enumerate(coeffs):
+        x = ((var, e),) if e else ()
+        for m, q in c.terms.items():
+            out[mono_mul(m, x)] = q
+    return Poly(out)
 
-    def trim(x):
-        while x and not x[-1]:
-            x.pop()
-        return x
 
-    a, b = trim(a), trim(b)
+def _uni_gcd(a, b, var) -> Poly:
+    """Euclidean gcd over Q of two dense views with constant entries."""
+    a = [c.const_value() for c in a]
+    b = [c.const_value() for c in b]
     while b:
         # a mod b
-        r = a[:]
         db, lb = len(b) - 1, b[-1]
-        while len(r) - 1 >= db and any(r):
-            if not r[-1]:
-                r.pop()
-                continue
-            f = r[-1] / lb
-            off = len(r) - 1 - db
-            for i in range(db + 1):
-                r[off + i] -= f * b[i]
-            r.pop()
-        a, b = b, trim(r)
-    lc = a[-1]
-    return Poly({(((var, i),) if i else ()): c / lc for i, c in enumerate(a) if c})
+        while len(a) > db:
+            f = a.pop() / lb
+            off = len(a) - db
+            for i in range(db):
+                a[off + i] -= f * b[i]
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return _join([Poly.const(c / a[-1]) for c in a], var)
 
 
-def _content_primitive(p: Poly, var):
-    """p = content * primitive, content free of var, primitive monic-content."""
-    dec = p.decompose(var)
+def _primitive(coeffs):
+    """Content (monic, free of var) and primitive part of a dense view."""
     cont = Poly.zero()
-    for coeff in dec.values():
-        cont = poly_gcd(cont, coeff)
-        if cont.is_const() and cont.const_value() == 1:
-            break
-    prim = divexact(p, cont)
-    assert prim is not None
-    return cont, prim
+    for c in coeffs:
+        cont = poly_gcd(cont, c)
+        if cont.is_const() and not cont.is_zero():
+            return cont, coeffs
+    return cont, [divexact(c, cont) for c in coeffs]
 
 
-def _prem(a: Poly, b: Poly, var) -> Poly:
-    """Pseudo-remainder of a by b with respect to var."""
-    db = b.deg_in(var)
-    lb = b.coeff_in(var, db)
-    r = a
-    while not r.is_zero():
-        dr = r.deg_in(var)
-        if dr < db:
-            break
-        lr = r.coeff_in(var, dr)
-        shift = Poly.variable(var, dr - db) if dr > db else Poly.one()
-        r = lb * r - lr * shift * b
+def _prem(a, b):
+    """Pseudo-remainder of dense view a by dense view b."""
+    db, lb = len(b) - 1, b[-1]
+    r = list(a)
+    while len(r) > db:
+        lr = r.pop()
+        off = len(r) - db
+        r = [lb * c for c in r]
+        for i in range(db):
+            r[off + i] = r[off + i] - lr * b[i]
+        while r and r[-1].is_zero():
+            r.pop()
     return r
 
 
@@ -348,25 +313,25 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     if p.is_const() or q.is_const():
         return Poly.one()
     vs = p.variables() | q.variables()
-    if len(vs) == 1:
-        return _uni_gcd(p, q, next(iter(vs)))
     var = min(vs)
-    cp, pp = _content_primitive(p, var)
-    cq, pq = _content_primitive(q, var)
-    cont = poly_gcd(cp, cq)
-    if pp.deg_in(var) == 0 or pq.deg_in(var) == 0:
-        return cont.monic()
-    a, b = (pp, pq) if pp.deg_in(var) >= pq.deg_in(var) else (pq, pp)
+    a, b = dense(p, var), dense(q, var)
+    if len(vs) == 1:
+        return _uni_gcd(a, b, var)
+    ca, a = _primitive(a)
+    cb, b = _primitive(b)
+    cont = poly_gcd(ca, cb)
+    if len(a) == 1 or len(b) == 1:
+        return cont
+    if len(a) < len(b):
+        a, b = b, a
     while True:
-        r = _prem(a, b, var)
-        if r.is_zero():
-            g = b  # already primitive: pp, pq or a primitive remainder
-            break
-        if r.deg_in(var) == 0:
-            g = Poly.one()
-            break
-        a, b = b, _content_primitive(r, var)[1]
-    return (cont * g).monic()
+        r = _prem(a, b)
+        if not r:
+            break  # b is primitive: a primitive part or remainder
+        if len(r) == 1:
+            return cont
+        a, b = b, _primitive(r)[1]
+    return (cont * _join(b, var)).monic()
 
 
 def poly_lcm(p: Poly, q: Poly) -> Poly:
@@ -418,21 +383,21 @@ def poly_sqrt(p: Poly):
         r = _fraction_sqrt(p.const_value())
         return Poly.const(r) if r is not None else None
     var = min(p.variables())
-    dec = p.decompose(var)
-    n = max(dec)
+    dec = dense(p, var)
+    n = len(dec) - 1
     if n % 2:
         return None
     m = n // 2
     top = poly_sqrt(dec[n])
     if top is None:
         return None
-    r = {m: top}
+    r = [None] * m + [top]
     two_top = top.scale(2)
     for k in range(m - 1, -1, -1):
-        acc = dec.get(m + k, Poly())
+        acc = dec[m + k]
         for i in range(k + 1, m):
             j = m + k - i
-            if j < i or j >= m:
+            if j < i:
                 continue
             prod = r[i] * r[j]
             acc = acc - (prod.scale(2) if i != j else prod)
@@ -440,9 +405,7 @@ def poly_sqrt(p: Poly):
         if rk is None:
             return None
         r[k] = rk
-    root = Poly()
-    for e, coeff in r.items():
-        root = root + coeff.mul_mono(((var, e),) if e else (), _ONE)
+    root = _join(r, var)
     if root * root != p:
         return None
     if root.leading_coeff() < 0:

@@ -14,6 +14,7 @@ from hahnseries.coeffs import (
     finite_place_for,
     variables_of,
 )
+from hahnseries.polynomials import dense
 
 a1 = Coefficient.alpha(1)
 a2 = Coefficient.alpha(2)
@@ -103,7 +104,7 @@ def test_apply_place_homomorphism(rng):
 def test_pole_set_is_finite(rng):
     for _ in range(60):
         c = rand_coeff(rng, (1,), allow_den=True)
-        deg = c.den.deg_in(1)
+        deg = len(dense(c.den, 1)) - 1
         poles = sum(
             1
             for q in range(-20, 21)
@@ -140,6 +141,38 @@ def test_finite_place_custom_candidates():
 
     with pytest.raises(PreconditionError):
         finite_place_for([one / (a1 - 1)], 1, candidates=[0, 1])
+
+
+def test_place_scan_canonicalizes_nothing(monkeypatch):
+    import hahnseries.coeffs as coeffs_mod
+    import hahnseries.polynomials as poly_mod
+
+    # poles at a1 = 1, -1, 2, -2: the scan must reach 3
+    cs = [
+        one / (a1 - 1),
+        (a1 + a2) / (a1**2 - 4),
+        a3 / (a1 * a2 + 3),
+        (a2 - a3) / (a1 + 1),
+    ]
+    calls = []
+    real_init, real_gcd = Coefficient.__init__, poly_mod.poly_gcd
+
+    def counting_init(self, *args, **kwargs):
+        calls.append("Coefficient.__init__")
+        real_init(self, *args, **kwargs)
+
+    def counting_gcd(p, q):
+        calls.append("poly_gcd")
+        return real_gcd(p, q)
+
+    monkeypatch.setattr(Coefficient, "__init__", counting_init)
+    monkeypatch.setattr(coeffs_mod, "poly_gcd", counting_gcd)
+    monkeypatch.setattr(poly_mod, "poly_gcd", counting_gcd)
+    place = finite_place_for(cs, 1)
+    assert calls == []
+    monkeypatch.undo()
+    assert place == Place(1, Fraction(3))
+    assert all(apply_place(c, place) is not INFINITE for c in cs)
 
 
 def test_powers_and_inverse():

@@ -1,7 +1,11 @@
 from fractions import Fraction
 
+import pytest
+
 from hahnseries.polynomials import (
     Poly,
+    _join,
+    dense,
     divexact,
     poly_gcd,
     poly_lcm,
@@ -43,6 +47,35 @@ def test_gcd_multivariate():
     assert poly_gcd(r, s) == a1 * a2 + one
 
 
+def test_dense_view():
+    p = a1 * a1 * a1 * a2 + a2 + Poly.const(3)
+    assert dense(p, 1) == [a2 + Poly.const(3), Poly(), Poly(), a2]
+    assert dense(p, 2) == [Poly.const(3), a1 * a1 * a1 + one]
+    assert dense(p, 3) == [p]
+    assert dense(Poly.zero(), 1) == []
+    for var in (1, 2, 3):
+        assert _join(dense(p, var), var) == p
+
+
+def test_gcd_degree_gaps():
+    # main variable a1 skips a degree, and both cofactors are divisible by a1
+    g = a1 * a1 * a2 + one
+    p = g * a1 * (a2 + a3)
+    q = g * a1 * a1 * (a2 - one)
+    assert poly_gcd(p, q) == g * a1
+    assert poly_gcd(q, p) == g * a1
+    # nonconstant content a2 + 1 and zero slots in the dense view
+    c = a2 + one
+    f = a1 * a1 + a2
+    p = c * a1 * a1 * f
+    q = c * (a2 - one) * f * (a1 - Poly.const(2))
+    assert poly_gcd(p, q) == c * f
+    # the gcd is the content alone, with or without a PRS run
+    assert poly_gcd(c * a1, c * (a1 + one)) == c
+    assert poly_gcd(c * (a1 * a1 * a1 + a2), a2 * a2 - one) == c
+    assert poly_gcd(c * a1 * a1 * a1 * a3, c * c * a1 * a2) == (c * a1).monic()
+
+
 def test_gcd_random_products(rng):
     from conftest import rand_poly
 
@@ -76,6 +109,10 @@ def test_subs_var():
     p = a1 * a1 + a2
     assert p.subs_var(1, Fraction(3)) == Poly.const(9) + a2
     assert p.subs_var(2, Fraction(-1)) == a1 * a1 - one
+    p = a1 * a1 * a1 * a2 + a1 + Poly.const(2)
+    assert p.subs_var(1, Fraction(2)) == a2.scale(8) + Poly.const(4)
+    assert p.subs_var(1, Fraction(0)) == Poly.const(2)
+    assert p.subs_var(3, Fraction(5)) == p
 
 
 def test_sqrt():
@@ -87,6 +124,10 @@ def test_sqrt():
     assert poly_sqrt(a1 * a2) is None
     assert poly_sqrt((a1 * a2 - one) ** 2) == a1 * a2 - one
     assert poly_sqrt(-((a1 + one) ** 2)) is None
+    r = a1 * a1 * a2 + one
+    assert poly_sqrt(r * r) == r
+    assert poly_sqrt((a1 * a1 * a1 - a2) ** 2) == a1 * a1 * a1 - a2
+    assert poly_sqrt(r * r + a1) is None
 
 
 def test_sqrt_random(rng):
@@ -106,3 +147,65 @@ def test_str_forms():
     assert str(a1 * a1 - one) == "a1^2 - 1"
     assert str(Poly.zero()) == "0"
     assert str(a1.scale(Fraction(-3, 2)) + a2) == "-3/2*a1 + a2"
+
+
+def _sympy_poly(sympy, p, gens):
+    expr = sympy.Integer(0)
+    for m, c in p.terms.items():
+        term = sympy.Rational(c.numerator, c.denominator)
+        for v, e in m:
+            term *= gens[v - 1] ** e
+        expr += term
+    return sympy.Poly(expr, *gens, domain="QQ")
+
+
+def _gappy_poly(rng, nv, terms=3):
+    """Random nonzero polynomial whose exponents skip a degree (0, 1, 3)."""
+    p = Poly()
+    while p.is_zero():
+        for _ in range(rng.randint(1, terms)):
+            powers = [(v, rng.choice((0, 0, 1, 3))) for v in range(1, nv + 1)]
+            c = Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
+            p = p + Poly({tuple((v, e) for v, e in powers if e): c})
+    return p
+
+
+def test_sympy_oracle(rng):
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols("a1:4")
+    seen = set()
+    for _ in range(120):
+        nv = rng.randint(1, 3)
+        g, x, y = (_gappy_poly(rng, nv) for _ in range(3))
+        p, q = g * x, g * y
+        sp = _sympy_poly(sympy, p, gens)
+        d = poly_gcd(p, q)
+        sd = _sympy_poly(sympy, d, gens)
+        ref = sympy.gcd(sp, _sympy_poly(sympy, q, gens))
+        # each divides the other: equal up to a nonzero rational
+        assert sd.rem(ref).is_zero and ref.rem(sd).is_zero
+        assert d.leading_coeff() == 1
+        seen.add("gcd" if d.is_const() else "nontrivial gcd")
+        for f in (x, y):
+            quo, rem = sympy.div(sp, _sympy_poly(sympy, f, gens))
+            got = divexact(p, f)
+            assert (got is None) == (not rem.is_zero)
+            assert got is None or _sympy_poly(sympy, got, gens) == quo
+            seen.add("quotient" if got is not None else "no quotient")
+        for s in (p * p, p * p + g):
+            root = poly_sqrt(s)
+            ss = _sympy_poly(sympy, s, gens)
+            seen.add("root" if root is not None else "no root")
+            if root is not None:
+                assert _sympy_poly(sympy, root, gens) ** 2 == ss
+                continue
+            content, factors = sympy.factor_list(ss)
+            square = content >= 0 and sympy.sqrt(content).is_rational
+            assert not (square and all(k % 2 == 0 for _, k in factors))
+        var = rng.randint(1, nv)
+        val = Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+        got = _sympy_poly(sympy, p.subs_var(var, val), gens)
+        at = sympy.Rational(val.numerator, val.denominator)
+        want = sympy.Poly(sp.as_expr().subs(gens[var - 1], at), *gens, domain="QQ")
+        assert got == want
+    assert len(seen) == 6
