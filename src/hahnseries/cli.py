@@ -25,7 +25,7 @@ from .analytic import (
     unit_pow,
 )
 from .coeffs import Coefficient, Place
-from .errors import HahnSeriesError, ParseError
+from .errors import HahnSeriesError, ParseError, PreconditionError
 from .exponents import as_exponent
 from .parsing import parse_expression
 from .series import AtLeast, SeriesPolynomial, TruncatedSeries
@@ -45,12 +45,25 @@ from .valuation_spaces import (
 __all__ = ["main"]
 
 
+def _number(kind, text, what):
+    """kind(text), with a malformed value raised as a PreconditionError."""
+    try:
+        return kind(text)
+    except ValueError as err:
+        raise PreconditionError(f"{what}: {err}") from None
+
+
+def _int_list(text, what):
+    """Comma-separated integers; empty items are skipped."""
+    return [_number(int, p, what) for p in text.split(",") if p.strip()]
+
+
 def _parse_prec(text, rank):
     text = text.strip()
     if text.startswith("(") and text.endswith(")"):
-        parts = [Fraction(p.strip()) for p in text[1:-1].split(",")]
+        parts = [_number(Fraction, p.strip(), "--prec") for p in text[1:-1].split(",")]
     else:
-        parts = [Fraction(text)]
+        parts = [_number(Fraction, text, "--prec")]
     if len(parts) == 1 and rank > 1:
         parts = parts + [Fraction(0)] * (rank - 1)
     return as_exponent(tuple(parts), rank)
@@ -107,10 +120,10 @@ class _Session:
         ]
 
 
-def _scalar_field(text) -> ScalarField:
+def _scalar_field(text, what="--scalar-vars") -> ScalarField:
     if not text:
         return ScalarField.rationals()
-    return ScalarField.with_vars(int(p) for p in text.split(",") if p.strip())
+    return ScalarField.with_vars(_int_list(text, what))
 
 
 def _vmin_json(v):
@@ -147,7 +160,7 @@ def _cmd_log(session, args, out):
 
 def _cmd_pow(session, args, out):
     u = OneUnit(session.parse_series(args.expr))
-    result = unit_pow(u, Fraction(args.exponent))
+    result = unit_pow(u, _number(Fraction, args.exponent, "pow exponent"))
     _emit(session, "pow", [str(result.series)], {"series": str(result.series)}, out)
 
 
@@ -193,7 +206,7 @@ def _cmd_vmin(session, args, out):
 
 def _cmd_specialize(session, args, out):
     f = session.parse_series(args.expr)
-    image = f.specialize(Place(args.var, Fraction(args.value)))
+    image = f.specialize(Place(args.var, _number(Fraction, args.value, "--value")))
     _emit(session, "specialize", [str(image)], {"series": str(image)}, out)
 
 
@@ -260,14 +273,14 @@ def _inclexcl_report(session, command, h, result, out):
 
 def _cmd_inclexcl(session, args, out):
     f = session.parse_series(args.expr)
-    variables = [int(v) for v in args.vars.split(",")]
+    variables = [_number(int, v, "--vars") for v in args.vars.split(",")]
     result = inclusion_exclusion_approx(f, session.candidate_specs(variables))
     _inclexcl_report(session, "inclexcl", result.h, result, out)
 
 
 def _cmd_multinclexcl(session, args, out):
     u = OneUnit(session.parse_series(args.expr))
-    variables = [int(v) for v in args.vars.split(",")]
+    variables = [_number(int, v, "--vars") for v in args.vars.split(",")]
     result = mult_inclusion_exclusion(u, session.candidate_specs(variables))
     _inclexcl_report(session, "multinclexcl", result.h.series, result, out)
 
@@ -292,7 +305,7 @@ def _cmd_tensor(session, args, out):
         _scalar_field(args.scalar_vars),
     )
     coeffs = [session.parse_coeff(c) for c in args.coeff]
-    small = _scalar_field(args.small_scalar_vars)
+    small = _scalar_field(args.small_scalar_vars, "--small-scalar-vars")
     result = tensor_basis(basis, coeffs, small)
     entries = [str(e) for e in result.entries]
     _emit(session, "tensor", entries, {"entries": entries}, out)
@@ -321,9 +334,7 @@ def _cmd_chain(session, args, out):
     stage_inputs = []
     for stage in args.stage:
         head, _, tail = stage.partition("|")
-        stage_vars.append(
-            frozenset(int(v) for v in head.split(",") if v.strip())
-        )
+        stage_vars.append(frozenset(_int_list(head, "--stage")))
         stage_inputs.append(
             [session.parse_series(e) for e in tail.split(";") if e.strip()]
         )
@@ -482,7 +493,7 @@ def main(argv=None) -> int:
         else:
             print(f"parse error: {err}", file=sys.stderr)
         return 3
-    except (HahnSeriesError, ZeroDivisionError, ValueError) as err:
+    except (HahnSeriesError, ZeroDivisionError) as err:
         if args.json:
             print(_error_payload(args.command, 2, err), file=out)
         else:

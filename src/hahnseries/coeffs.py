@@ -148,9 +148,11 @@ class Coefficient:
         return as_coefficient(other) / self
 
     def __pow__(self, n):
+        """No gcd for n >= 0: powers of coprime polynomials stay coprime,
+        and a power of a monic denominator is monic."""
         if n < 0:
             return Coefficient.one() / self**-n
-        return Coefficient(self.num**n, self.den**n)
+        return Coefficient(self.num**n, self.den**n, _canonical=True)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -191,7 +193,7 @@ class Place:
 
     def __post_init__(self):
         if self.var < 1:
-            raise ValueError("variable indices start at 1")
+            raise PreconditionError("variable indices start at 1")
         if not isinstance(self.q, Fraction):
             object.__setattr__(self, "q", Fraction(self.q))
 

@@ -2,16 +2,16 @@
 
 Support layer for the rational-function coefficient field.  Monomials
 are stored sparsely as tuples of (variable index, power) pairs with
-ascending indices; the empty tuple is 1.  The term order is graded lex
-throughout, which fixes leading coefficients and hence the canonical
-form of fractions.  Every algorithm that treats a polynomial as
-univariate in one variable works on its dense view: ``dense(p, var)``
-is the list of coefficients (polynomials in the other variables)
-indexed by power, and ``_join`` is its inverse.  Gcd uses
-content/primitive-part recursion with a primitive pseudo-remainder
-sequence on dense views (plain Euclid over Q when one variable is
-left); exact division and perfect-square detection support place
-specialization and quadratic initial forms.
+ascending indices; the empty tuple is 1.  The graded lex term order
+only fixes leading coefficients, hence the canonical form of
+fractions, and the printed order of terms.  Every algorithm that
+treats a polynomial as univariate in one variable works on its dense
+view: ``dense(p, var)`` is the list of coefficients (polynomials in
+the other variables) indexed by power, and ``_join`` is its inverse.
+Gcd uses content/primitive-part recursion with a primitive
+pseudo-remainder sequence on dense views (plain Euclid over Q when one
+variable is left); exact division is long division on dense views, and
+perfect-square detection supports quadratic initial forms.
 """
 
 from __future__ import annotations
@@ -54,23 +54,6 @@ def mono_degree(a) -> int:
 
 def grlex_key(m):
     return (mono_degree(m), tuple((-v, e) for v, e in m))
-
-
-def mono_divides(a, b) -> bool:
-    """Does monomial a divide monomial b?"""
-    db = dict(b)
-    return all(db.get(v, 0) >= e for v, e in a)
-
-
-def mono_div(b, a):
-    """b / a, assuming a divides b."""
-    da = dict(a)
-    out = []
-    for v, e in b:
-        r = e - da.get(v, 0)
-        if r:
-            out.append((v, r))
-    return tuple(out)
 
 
 class Poly:
@@ -139,11 +122,6 @@ class Poly:
         if not q:
             return Poly()
         return Poly({m: c * q for m, c in self.terms.items()})
-
-    def mul_mono(self, mono, coeff) -> "Poly":
-        if not coeff:
-            return Poly()
-        return Poly({mono_mul(m, mono): c * coeff for m, c in self.terms.items()})
 
     def __add__(self, other):
         out = dict(self.terms)
@@ -343,26 +321,33 @@ def poly_lcm(p: Poly, q: Poly) -> Poly:
 
 
 def divexact(p: Poly, q: Poly):
-    """Exact quotient p / q, or None when q does not divide p."""
+    """Exact quotient p / q, or None when q does not divide p.
+
+    Long division on the dense views in q's least variable: each entry of
+    the quotient is an exact quotient by q's top entry, which is free of
+    that variable.
+    """
     if q.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     if p.is_zero():
         return Poly()
     if q.is_const():
         return p.scale(1 / q.const_value())
-    lm_q = q.leading_mono()
-    lc_q = q.terms[lm_q]
-    out = {}
-    r = p
-    while not r.is_zero():
-        lm_r = r.leading_mono()
-        if not mono_divides(lm_q, lm_r):
+    var = min(q.variables())
+    a, b = dense(p, var), dense(q, var)
+    db, lb = len(b) - 1, b[-1]
+    quotient = []
+    while len(a) > db:
+        c = divexact(a.pop(), lb)
+        if c is None:
             return None
-        m = mono_div(lm_r, lm_q)
-        c = r.terms[lm_r] / lc_q
-        out[m] = c
-        r = r - q.mul_mono(m, c)
-    return Poly(out)
+        quotient.append(c)
+        off = len(a) - db
+        for i in range(db):
+            a[off + i] = a[off + i] - c * b[i]
+    if any(not c.is_zero() for c in a):
+        return None
+    return _join(quotient[::-1], var)
 
 
 def _fraction_sqrt(q: Fraction):

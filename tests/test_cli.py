@@ -157,3 +157,49 @@ def test_dash_tokens_that_stay_options(capsys):
         main(["exp", "--bogus", "t"])
     assert bad_exit.value.code == 2
     assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+
+
+BAD_INPUTS = {
+    "prec": ["--prec", "abc", "exp", "t"],
+    "prec-tuple": ["--rank", "2", "--prec", "(4, x)", "exp", "t"],
+    "pow-exponent": ["--prec", "5", "pow", "1 + t", "1/x"],
+    "specialize-value": ["--prec", "5", "specialize", "a1*t", "--var", "1", "--value", "x"],
+    "specialize-var": ["--prec", "5", "specialize", "a1*t", "--var", "0", "--value", "1"],
+    "scalar-vars": ["--prec", "5", "indep", "t", "--scalar-vars", "1,x"],
+    "small-scalar-vars": ["--prec", "5", "tensor", "--basis", "t", "--coeff", "1",
+                          "--small-scalar-vars", "x"],
+    "vars": ["--prec", "5", "inclexcl", "a1*t", "--vars", "1,x"],
+    "vars-empty-item": ["--prec", "5", "multinclexcl", "1 + a1*t", "--vars", "1,"],
+    "vars-index": ["--prec", "5", "inclexcl", "t", "--vars", "0"],
+    "stage": ["--prec", "5", "chain", "--stage", "x|t"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_bad_option_values_exit_2(name):
+    argv = BAD_INPUTS[name]
+    code, _ = run_cli(argv)
+    assert code == 2
+    code, out = run_cli(["--json"] + argv)
+    assert code == 2
+    payload = json.loads(out)
+    jsonschema.validate(payload, SCHEMA)
+    assert payload["status"] == "error"
+    assert payload["error"]["code"] == 2
+
+
+def test_value_error_in_a_handler_propagates(monkeypatch):
+    import hahnseries.cli as cli
+
+    def broken(*_):
+        raise ValueError("a bug, not a domain error")
+
+    monkeypatch.setattr(cli, "exp", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        run_cli(["--prec", "5", "exp", "t"])
+
+    def dividing(*_):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(cli, "exp", dividing)
+    assert run_cli(["--prec", "5", "exp", "t"])[0] == 2

@@ -181,6 +181,44 @@ def test_powers_and_inverse():
     assert (a1 / a2) ** 2 == a1**2 / a2**2
 
 
+def test_powers_match_repeated_products(rng, monkeypatch):
+    import hahnseries.coeffs as coeffs_mod
+    import hahnseries.polynomials as poly_mod
+
+    xs = [rand_coeff(rng, (1, 2)) for _ in range(200)]
+    for i, x in enumerate(xs):
+        n = i % 8 - 3
+        want = one
+        for _ in range(abs(n)):
+            want = want * x
+        if n < 0:
+            want = one / want
+        assert x**n == want, (x, n)
+    assert Coefficient.zero() ** 3 == Coefficient.zero()
+    # n >= 0 keeps the canonical form without a gcd
+    calls = []
+    real_gcd = poly_mod.poly_gcd
+
+    def counting_gcd(p, q):
+        calls.append((p, q))
+        return real_gcd(p, q)
+
+    monkeypatch.setattr(coeffs_mod, "poly_gcd", counting_gcd)
+    monkeypatch.setattr(poly_mod, "poly_gcd", counting_gcd)
+    for x in xs[:50]:
+        for n in range(5):
+            x**n
+    assert calls == []
+
+
+def test_place_variable_index():
+    from hahnseries.errors import PreconditionError
+
+    for var in (0, -2):
+        with pytest.raises(PreconditionError, match="start at 1"):
+            Place(var, Fraction(1))
+
+
 def test_str_roundtrippable_forms():
     assert str(one / (a1 - 1)) == "1/(a1 - 1)"
     assert str((a1 + 1) / a2) == "(a1 + 1)/(a2)"

@@ -99,6 +99,90 @@ def test_divexact():
     assert divexact(a1 * a2 + one, a1) is None
 
 
+def _leading_term_divexact(p, q):
+    """Exact division by grlex leading terms, as the library did before
+    long division on the dense view; the oracle for divexact."""
+    if q.is_const():
+        return p.scale(1 / q.const_value())
+    lm_q = q.leading_mono()
+    lc_q = q.terms[lm_q]
+    out = {}
+    r = p
+    while not r.is_zero():
+        lm_r = r.leading_mono()
+        rest = dict(lm_r)
+        if any(rest.get(v, 0) < e for v, e in lm_q):
+            return None
+        for v, e in lm_q:
+            rest[v] -= e
+        m = tuple((v, e) for v, e in sorted(rest.items()) if e)
+        c = r.terms[lm_r] / lc_q
+        out[m] = c
+        r = r - q * Poly({m: c})
+    return Poly(out)
+
+
+def test_divexact_matches_leading_term_division(rng):
+    from conftest import rand_poly
+
+    seen = set()
+    for i in range(2400):
+        nv = rng.randint(1, 3)
+        variables = tuple(range(1, nv + 1))
+        q = rand_poly(rng, variables, max_deg=2, terms=3)
+        if q.is_zero() or q.is_const():
+            q = q + Poly.variable(rng.randint(1, nv))
+        case = i % 6
+        if case == 0:  # planted product
+            p = q * rand_poly(rng, variables, max_deg=2, terms=3)
+        elif case == 1:  # usually not divisible
+            p = rand_poly(rng, variables, max_deg=3, terms=5)
+        elif case == 2:  # p free of q's least variable
+            least = min(q.variables())
+            p = rand_poly(rng, tuple(v for v in (1, 2, 3) if v != least), 2, 3)
+        elif case == 3:  # quotient whose exponents skip degrees
+            p = q * _gappy_poly(rng, nv)
+        elif case == 4:  # the top entries divide, a lower one does not
+            var = min(q.variables())
+            low = rand_poly(rng, variables, max_deg=2, terms=2)
+            low = _join(dense(low, var)[: len(dense(q, var)) - 1], var)
+            p = q * _gappy_poly(rng, nv) + (low if not low.is_zero() else one)
+        else:  # quotient in a variable below q's least
+            q = q.subs_var(1, Fraction(rng.randint(1, 3))) if nv > 1 else q
+            if q.is_const():
+                q = a2 + one
+            p = q * rand_poly(rng, (1, 2, 3), max_deg=2, terms=3)
+        got = divexact(p, q)
+        want = _leading_term_divexact(p, q)
+        assert got == want, (p, q)
+        if case in (2, 4) and not p.is_zero():
+            assert got is None
+        seen.add((case, got is None))
+    assert {(c, False) for c in (0, 3, 5)} | {(c, True) for c in (1, 2, 4)} <= seen
+
+
+def test_divexact_uses_no_leading_terms(monkeypatch):
+    calls = []
+    real = Poly.leading_mono
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    q = a1.scale(3) * a2 + a2 * a3 - Poly.const(2)
+    cases = [
+        (q * (a1 * a1 * a3 + a2), q),
+        (q * (a1 + a2) + a3, q),
+        (a2 * a3 + one, a1 + one),
+        (q * q * q, q * q),
+    ]
+    monkeypatch.setattr(Poly, "leading_mono", counting)
+    results = [divexact(p, d) for p, d in cases]
+    monkeypatch.undo()
+    assert calls == []
+    assert results == [a1 * a1 * a3 + a2, None, None, q]
+
+
 def test_lcm():
     assert poly_lcm(a1, a2) == a1 * a2
     l = poly_lcm(a1 * (a1 + one), (a1 + one) * a2)
