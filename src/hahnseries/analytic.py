@@ -13,9 +13,10 @@ the precision.  In a lexicographic exponent group of rank > 1
 that can fail, and the operations refuse rather than return silently
 wrong output.
 
-Hensel lifting iterates the fixed-slope contraction x -> x - Q(x)/Q'(r)
-from a residue-simple approximate root; the residual valuation strictly
-increases each step.
+Hensel lifting runs Newton's iteration x -> x - Q(x)/Q'(x) from a
+residue-simple approximate root; a residual of valuation m fixes the
+root below 2m, so the residual valuation strictly increases, doubling
+each step, until it passes the precision.
 """
 
 from __future__ import annotations
@@ -130,12 +131,18 @@ def hensel_lift(
 ):
     """Refine r to a root of q, assuming v(q(r)) > 0 and v(q'(r)) = 0.
 
-    Iterates x -> x - q(x)/q'(r) until the residual vanishes at working
-    precision.  Returns the root, or (root, residual trace) when
-    with_trace is set.
+    Newton's iteration x -> x - q(x)/q'(x) until the residual vanishes at
+    working precision.  A residual of valuation m determines the root
+    below cut = min(prec, 2m), so a step divides the residual, cut there,
+    by q' evaluated at x below cut - m: over a valuation ring the residual
+    valuation doubles, and a root to precision tau takes about
+    log2(tau/m) residuals instead of one per term.  The root is known to
+    the least residual precision.  Returns the root, or (root, residual
+    trace) when with_trace is set.
     """
     zero = r.prec.scale(0)
-    slope = eval_poly(q.derivative(), r)
+    dq = q.derivative()
+    slope = eval_poly(dq, r)
     if not slope.terms or slope.terms[0][0] != zero:
         raise PreconditionError(
             f"v_min(Q'(r)) = {slope.v_min()} is not zero"
@@ -145,24 +152,33 @@ def hensel_lift(
         raise PreconditionError(
             f"v_min(Q(r)) = {res.terms[0][0]} is not positive"
         )
+    # at rank > 1 the doubling can stall inside one archimedean class
     if res.terms and reach_count(res.terms[0][0], r.prec) is None:
         raise PrecisionError(
             "precision unreachable from the initial residual valuation"
         )
-    slope_inv = slope.inv()
     x = r
     trace = [res.v_min()]
     steps = 0
     while res.terms:
         if steps >= max_steps:
             raise PrecisionError(f"no convergence within {max_steps} steps")
-        x = x - res * slope_inv
+        m = res.terms[0][0]
+        cut = min(res.prec, m + m)
+        if steps:
+            slope = eval_poly(dq, x.truncate(cut - m))
+        step = res.truncate(cut) * slope.inv()
+        # exact terms: x stays known to the residual's precision, not cut
+        x = TruncatedSeries(
+            (*x.terms, *(-step).terms), min(x.prec, res.prec)
+        )
         new_res = eval_poly(q, x)
-        if new_res.terms and not new_res.terms[0][0] > res.terms[0][0]:
+        if new_res.terms and not new_res.terms[0][0] > m:
             raise PrecisionError("residual valuation failed to increase")
         res = new_res
         trace.append(res.v_min())
         steps += 1
+    x = x.truncate(res.prec)
     if with_trace:
         return x, trace
     return x
@@ -410,9 +426,14 @@ def rational_reconstruct(f: TruncatedSeries, deg_num: int, deg_den: int):
     f*den = num to precision and den monic, or None.
 
     The grid n is the lcm of the exponent denominators in the support.
-    Requires rank 1 and, on the rescaled integer grid,
-    prec > deg_num + deg_den + v_min(f).
+    Requires nonnegative degrees, rank 1 and, on the rescaled integer
+    grid, prec > deg_num + deg_den + v_min(f).
     """
+    if deg_num < 0 or deg_den < 0:
+        raise PreconditionError(
+            "degree bounds must be nonnegative: "
+            f"deg_num = {deg_num}, deg_den = {deg_den}"
+        )
     if f.rank != 1:
         raise PreconditionError("reconstruction requires rank-1 exponents")
     if not f.terms:

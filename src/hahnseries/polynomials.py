@@ -239,22 +239,43 @@ def _join(coeffs, var) -> Poly:
     return Poly(out)
 
 
+def _uni_dense(p: Poly):
+    """Dense view of a polynomial in at most one variable, as Fractions."""
+    out = []
+    for m, c in p.terms.items():
+        e = m[0][1] if m else 0
+        if e >= len(out):
+            out.extend([_ZERO] * (e + 1 - len(out)))
+        out[e] = c
+    return out
+
+
+def _uni_join(coeffs, var) -> Poly:
+    """Inverse of _uni_dense."""
+    return Poly({((var, e),) if e else (): c for e, c in enumerate(coeffs) if c})
+
+
+def _uni_divmod(a, b):
+    """Quotient and remainder of Fraction dense views a by b over Q; the
+    remainder is a, reduced in place, with its top entry nonzero."""
+    db, lb = len(b) - 1, b[-1]
+    quotient = [_ZERO] * max(len(a) - db, 0)
+    while len(a) > db:
+        f = a.pop() / lb
+        off = len(a) - db
+        quotient[off] = f
+        for i in range(db):
+            a[off + i] -= f * b[i]
+        while a and not a[-1]:
+            a.pop()
+    return quotient, a
+
+
 def _uni_gcd(a, b, var) -> Poly:
-    """Euclidean gcd over Q of two dense views with constant entries."""
-    a = [c.const_value() for c in a]
-    b = [c.const_value() for c in b]
+    """Euclidean gcd over Q of two Fraction dense views."""
     while b:
-        # a mod b
-        db, lb = len(b) - 1, b[-1]
-        while len(a) > db:
-            f = a.pop() / lb
-            off = len(a) - db
-            for i in range(db):
-                a[off + i] -= f * b[i]
-            while a and not a[-1]:
-                a.pop()
-        a, b = b, a
-    return _join([Poly.const(c / a[-1]) for c in a], var)
+        a, b = b, _uni_divmod(a, b)[1]
+    return _uni_join([c / a[-1] for c in a], var)
 
 
 def _primitive(coeffs):
@@ -292,9 +313,9 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
         return Poly.one()
     vs = p.variables() | q.variables()
     var = min(vs)
-    a, b = dense(p, var), dense(q, var)
     if len(vs) == 1:
-        return _uni_gcd(a, b, var)
+        return _uni_gcd(_uni_dense(p), _uni_dense(q), var)
+    a, b = dense(p, var), dense(q, var)
     ca, a = _primitive(a)
     cb, b = _primitive(b)
     cont = poly_gcd(ca, cb)
@@ -325,7 +346,8 @@ def divexact(p: Poly, q: Poly):
 
     Long division on the dense views in q's least variable: each entry of
     the quotient is an exact quotient by q's top entry, which is free of
-    that variable.
+    that variable.  When q has one variable and p no other, the entries
+    are Fractions.
     """
     if q.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
@@ -333,7 +355,11 @@ def divexact(p: Poly, q: Poly):
         return Poly()
     if q.is_const():
         return p.scale(1 / q.const_value())
-    var = min(q.variables())
+    vs = q.variables()
+    var = min(vs)
+    if len(vs) == 1 and p.variables() <= vs:
+        quotient, rest = _uni_divmod(_uni_dense(p), _uni_dense(q))
+        return None if rest else _uni_join(quotient, var)
     a, b = dense(p, var), dense(q, var)
     db, lb = len(b) - 1, b[-1]
     quotient = []

@@ -1,12 +1,13 @@
+import random
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
 
-from conftest import rand_eps, rand_series
+from conftest import rand_coeff, rand_eps, rand_fraction, rand_series
 from hahnseries.coeffs import Coefficient
 from hahnseries.errors import PrecisionError, PreconditionError
-from hahnseries.exponents import as_exponent
+from hahnseries.exponents import Exponent, as_exponent, reach_count
 from hahnseries.series import (
     AtLeast,
     SeriesPolynomial,
@@ -244,6 +245,199 @@ def test_hensel_residual_strictly_increases():
     exact = [v for v in trace if not isinstance(v, AtLeast)]
     assert all(b > a for a, b in zip(exact, exact[1:]))
     assert isinstance(trace[-1], AtLeast)
+
+
+def _linear_hensel_lift(q, r, max_steps=10_000, with_trace=False):
+    """The fixed-slope lift x -> x - q(x)/q'(r) the library ran before
+    Newton's iteration: one residual per term.  The oracle for
+    hensel_lift."""
+    zero = r.prec.scale(0)
+    slope = eval_poly(q.derivative(), r)
+    if not slope.terms or slope.terms[0][0] != zero:
+        raise PreconditionError(
+            f"v_min(Q'(r)) = {slope.v_min()} is not zero"
+        )
+    res = eval_poly(q, r)
+    if res.terms and not res.terms[0][0] > zero:
+        raise PreconditionError(
+            f"v_min(Q(r)) = {res.terms[0][0]} is not positive"
+        )
+    if res.terms and reach_count(res.terms[0][0], r.prec) is None:
+        raise PrecisionError(
+            "precision unreachable from the initial residual valuation"
+        )
+    slope_inv = slope.inv()
+    x = r
+    trace = [res.v_min()]
+    steps = 0
+    while res.terms:
+        if steps >= max_steps:
+            raise PrecisionError(f"no convergence within {max_steps} steps")
+        x = x - res * slope_inv
+        new_res = eval_poly(q, x)
+        if new_res.terms and not new_res.terms[0][0] > res.terms[0][0]:
+            raise PrecisionError("residual valuation failed to increase")
+        res = new_res
+        trace.append(res.v_min())
+        steps += 1
+    if with_trace:
+        return x, trace
+    return x
+
+
+RANK2_HENSEL_SUPPORTS = (
+    [(1, -1), (1, 0), (1, 2), (2, -3)],
+    [(1, 0), (1, 1), (2, -1)],
+    [(1, -2), (1, 3)],
+)
+
+
+def _grid_series(rng, grid, prec, field):
+    """Dense series on the 1/grid steps from 0 below prec."""
+    data = {}
+    k = 0
+    while Fraction(k, grid) < prec:
+        data[Fraction(k, grid)] = field(rng)
+        k += 1
+    return ts(data, prec)
+
+
+def _hensel_case(rng, i):
+    """(q, r) for the linear-lift oracle; case i % 8 picks the shape.
+
+    The constant coefficient is shifted so that q(r0) = 0 mod t, hence
+    most cases lift and the rest refuse (a non-unit Q'(r), an
+    unreachable precision); every tenth q has r itself as a root.
+    """
+    case = i % 8
+    field = lambda r: Coefficient.const(rand_fraction(r, 4))
+    if case == 7:  # Q(a1): few terms, symbolic coefficients
+        field = lambda r: (
+            rand_coeff(r, (1,), max_deg=1, allow_den=r.random() < 0.3)
+            if r.random() < 0.5
+            else Coefficient.const(rand_fraction(r, 4))
+        )
+    degree = rng.choice((2, 3)) if case < 4 else rng.randint(1, 3)
+    r0 = Coefficient.const(rand_fraction(rng, 3))
+    if case == 6:  # rank 2: residuals of class (1, .) reach (3, 0)
+        prec = Exponent((Fraction(3), Fraction(0)))
+        support = rng.choice(RANK2_HENSEL_SUPPORTS)
+        if rng.random() < 0.2:  # class (0, .) never reaches (1, 0)
+            prec, support = Exponent((Fraction(1), Fraction(0))), [(0, 1)]
+
+        def rank2():
+            data = {(0, 0): field(rng)}
+            for e in rng.sample(support, rng.randint(1, len(support))):
+                data[e] = field(rng)
+            return TruncatedSeries(data, prec)
+
+        coeffs = [rank2() for _ in range(degree + 1)]
+        r = TruncatedSeries({(0, 0): r0}, prec)
+    else:
+        grid = rng.randint(1, 3)
+        n = rng.randint(4, rng.choice((8, 16))) if case < 6 else rng.randint(4, 5)
+        prec = Fraction(n, grid)
+        shifts = {4: (-2, -1), 5: (1, 2)}.get(case, (-1, 0, 0, 1))
+        coeffs = []
+        for _ in range(degree + 1):
+            p = max(prec + Fraction(rng.choice(shifts), grid), Fraction(1, grid))
+            coeffs.append(_grid_series(rng, grid, p, field))
+        r_data = {0: r0}
+        for k in range(1, rng.randint(1, 3)):
+            r_data[Fraction(k, grid)] = field(rng)
+        r = ts(r_data, prec)
+    zero = prec.scale(0) if isinstance(prec, Exponent) else 0
+    value = sum(
+        (c.coefficient(zero) * r0**k for k, c in enumerate(coeffs)),
+        Coefficient.zero(),
+    )
+    coeffs[0] = coeffs[0] - value
+    if i % 10 == 9:  # r is a root at working precision
+        coeffs[0] = coeffs[0] - eval_poly(SeriesPolynomial(coeffs), r)
+    return SeriesPolynomial(coeffs), r
+
+
+def _lift_outcome(lift, q, r):
+    try:
+        root = lift(q, r)
+    except (PrecisionError, PreconditionError) as exc:
+        return type(exc).__name__, str(exc)
+    return root.terms, root.prec
+
+
+def test_hensel_matches_the_linear_lift():
+    rng = random.Random(1978)
+    seen = set()
+    roots = 0
+    for i in range(320):
+        q, r = _hensel_case(rng, i)
+        want = _lift_outcome(_linear_hensel_lift, q, r)
+        res = eval_poly(q, r)
+        if not res.terms and want[0] != "PreconditionError":
+            # r is a root at working precision: it comes back at the
+            # residual's precision, and no slope is inverted (the linear
+            # lift inverted it first and kept r.prec)
+            want = r.truncate(res.prec).terms, min(r.prec, res.prec)
+            roots += 1
+        assert _lift_outcome(hensel_lift, q, r) == want, (i, str(q), str(r))
+        seen.add((i % 8, isinstance(want[0], str)))
+    lifted = {case for case, refused in seen if not refused}
+    assert lifted >= set(range(8))
+    assert {case for case, refused in seen if refused} >= {6}
+    assert roots >= 20
+
+
+def test_hensel_stalled_residual_matches_the_linear_lift():
+    # t^-1 (y - 1)^2 + (y - 1) + t has no root 1 + O(t) in Q((t)):
+    # the residual of 1 - t is again t
+    q = SeriesPolynomial([ts({-1: 1, 0: -1, 1: 1}, 6), ts({-1: -2, 0: 1}, 6),
+                          ts({-1: 1}, 6)])
+    want = ("PrecisionError", "residual valuation failed to increase")
+    assert _lift_outcome(_linear_hensel_lift, q, one(6)) == want
+    assert _lift_outcome(hensel_lift, q, one(6)) == want
+
+
+def test_hensel_root_keeps_the_residual_precision():
+    # q(1) = 0 to O(t^2) only: 1 is not known to be a root beyond that
+    q = SeriesPolynomial([-ts({0: 1}, 2), one(5)])
+    assert hensel_lift(q, one(5)) == one(2)
+    assert hensel_lift(q, one(5), with_trace=True)[1] == [AtLeast(as_exponent(2))]
+
+
+def test_hensel_root_needs_no_slope_inverse():
+    # q(1) = 0 exactly, and 1/q'(1) = 1/(2 - 2t^(0,1)) does not reach (1, 0)
+    prec = (1, 0)
+    s = TruncatedSeries({(0, 1): 1}, prec)
+    r = TruncatedSeries.one(prec)
+    q = SeriesPolynomial([r.scalar_mul(-3), r.scalar_mul(4) + s.scalar_mul(2),
+                          -r - s.scalar_mul(2)])
+    with pytest.raises(PrecisionError):
+        eval_poly(q.derivative(), r).inv()
+    assert hensel_lift(q, r) == r
+
+
+def _dense_quadratic(n):
+    # (y - s)(y + 2) with s = 1 + 2t + 3t^2 + ... dense to t^n
+    s = ts({k: k + 1 for k in range(n)}, n)
+    two = one(n).scalar_mul(2)
+    return SeriesPolynomial([-(s * two), two - s, one(n)]), one(n), s
+
+
+def test_hensel_takes_log_many_residuals():
+    q, r, s = _dense_quadratic(16)
+    root, trace = hensel_lift(q, r, with_trace=True)
+    assert root == s
+    assert len(trace) <= 6
+    assert len(_linear_hensel_lift(q, r, with_trace=True)[1]) == 16
+    exact = [v for v in trace if not isinstance(v, AtLeast)]
+    assert all(b > a for a, b in zip(exact, exact[1:]))
+    assert isinstance(trace[-1], AtLeast)
+
+
+def test_hensel_step_budget():
+    q, r, _ = _dense_quadratic(16)
+    with pytest.raises(PrecisionError, match="no convergence within 1 steps"):
+        hensel_lift(q, r, max_steps=1)
 
 
 def test_track_denominators_examples():
@@ -584,6 +778,13 @@ def test_ratrec_insufficient_precision():
     f = ts({i: 1 for i in range(4)}, 4)
     with pytest.raises(PrecisionError):
         rational_reconstruct(f, 2, 2)
+
+
+@pytest.mark.parametrize("deg_num, deg_den", [(0, -3), (-1, 1), (-2, -2)])
+def test_ratrec_rejects_negative_degrees(deg_num, deg_den):
+    for f in (ts({i: 1 for i in range(5)}, 5), ts({}, 5)):
+        with pytest.raises(PreconditionError, match="nonnegative"):
+            rational_reconstruct(f, deg_num, deg_den)
 
 
 def test_ratrec_zero_series():

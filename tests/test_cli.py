@@ -172,6 +172,8 @@ BAD_INPUTS = {
     "vars-empty-item": ["--prec", "5", "multinclexcl", "1 + a1*t", "--vars", "1,"],
     "vars-index": ["--prec", "5", "inclexcl", "t", "--vars", "0"],
     "stage": ["--prec", "5", "chain", "--stage", "x|t"],
+    "ratrec-deg-den": ["--prec", "5", "ratrec", "1/(1-t)", "--deg-num", "0", "--deg-den", "-3"],
+    "ratrec-deg-num": ["--prec", "5", "ratrec", "1/(1-t)", "--deg-num", "-1", "--deg-den", "1"],
 }
 
 

@@ -161,6 +161,62 @@ def test_divexact_matches_leading_term_division(rng):
     assert {(c, False) for c in (0, 3, 5)} | {(c, True) for c in (1, 2, 4)} <= seen
 
 
+def _dense_view_divexact(p, q):
+    """Long division on Poly dense views at every size, as the library did
+    before univariate pairs ran on Fractions; the oracle for that path."""
+    if p.is_zero():
+        return Poly()
+    if q.is_const():
+        return p.scale(1 / q.const_value())
+    var = min(q.variables())
+    a, b = dense(p, var), dense(q, var)
+    db, lb = len(b) - 1, b[-1]
+    quotient = []
+    while len(a) > db:
+        c = _dense_view_divexact(a.pop(), lb)
+        if c is None:
+            return None
+        quotient.append(c)
+        off = len(a) - db
+        for i in range(db):
+            a[off + i] = a[off + i] - c * b[i]
+    if any(not c.is_zero() for c in a):
+        return None
+    return _join(quotient[::-1], var)
+
+
+def test_univariate_divexact_matches_dense_view_division(rng, monkeypatch):
+    from conftest import rand_poly
+
+    import hahnseries.polynomials as P
+
+    views = []
+    monkeypatch.setattr(P, "dense", lambda *a: views.append(a) or dense(*a))
+    seen = set()
+    for i in range(2000):
+        var = rng.randint(1, 3)
+        q = rand_poly(rng, (var,), max_deg=rng.randint(1, 3), terms=3)
+        if q.is_const():
+            q = q + Poly.variable(var)
+        case = i % 4
+        if case == 0:  # planted product
+            p = q * rand_poly(rng, (var,), max_deg=3, terms=4)
+        elif case == 1:  # usually not divisible
+            p = rand_poly(rng, (var,), max_deg=4, terms=4)
+        elif case == 2:  # a planted product plus a low remainder
+            p = q * rand_poly(rng, (var,), max_deg=2, terms=3)
+            p = p + Poly.const(rng.randint(1, 3))
+        else:  # quotient with degree gaps
+            g = _gappy_poly(rng, 1)
+            p = q * Poly({tuple((var, e) for _, e in m): c for m, c in g.terms.items()})
+        got = divexact(p, q)
+        assert got == _dense_view_divexact(p, q), (p, q)
+        seen.add((case, got is None))
+    monkeypatch.undo()
+    assert views == []
+    assert {(0, False), (1, True), (2, True), (3, False)} <= seen
+
+
 def test_divexact_uses_no_leading_terms(monkeypatch):
     calls = []
     real = Poly.leading_mono

@@ -163,3 +163,19 @@ def test_hensel_precision_sound():
         root_full = hensel_lift(q_full, TruncatedSeries.one(HIGH))
         root_cut = hensel_lift(q_cut, TruncatedSeries.one(prec))
         assert agree_below(root_full, root_cut, root_cut.prec)
+
+
+def test_hensel_from_an_exact_root_precision_sound():
+    # r = 1 + t is a root of y^2 - (1 + t)^2 known to t^prec only: the
+    # unknown tails of the constant coefficient move the root at t^prec
+    rng = random.Random(7)
+    r = TruncatedSeries({0: 1, 1: 1}, HIGH)
+    for prec in (2, 3, 5, 8):
+        base = TruncatedSeries({0: 1, 1: 2, 2: 1}, prec)
+        zero, one = TruncatedSeries.zero(HIGH), TruncatedSeries.one(HIGH)
+        root_cut = hensel_lift(SeriesPolynomial([-base, zero, one]), r)
+        assert root_cut.prec == Exponent((Fraction(prec),))
+        for _ in range(5):
+            q_full = SeriesPolynomial([-with_tail(rng, base), zero, one])
+            root_full = hensel_lift(q_full, r)
+            assert agree_below(root_full, root_cut, root_cut.prec)
