@@ -202,19 +202,32 @@ def track_denominators(q: SeriesPolynomial, r: TruncatedSeries):
     """Primes dividing any coefficient denominator of the lifted root.
 
     Only defined when every coefficient of q and r is a rational
-    constant; the output is contained in the primes dividing the
-    residue of q'(r) or any input denominator.
+    constant.  The output is contained in the primes dividing the
+    residue of q'(r) or any input denominator, so only those numbers are
+    factored: a root denominator such as p^k with p large is divided by
+    the known primes instead of trial-divided up to p.
     """
-    for coeff_series in (*q.coeffs, r):
-        for _, c in coeff_series.terms:
-            if not c.is_const():
-                raise PreconditionError(
-                    "unsupported: coefficients must be rational constants"
-                )
+    inputs = [c for s in (*q.coeffs, r) for _, c in s.terms]
+    for c in inputs:
+        if not c.is_const():
+            raise PreconditionError(
+                "unsupported: coefficients must be rational constants"
+            )
     root = hensel_lift(q, r)
+    residue = eval_poly(q.derivative(), r).residue().as_fraction()
+    known = set()
+    for n in (residue.numerator, residue.denominator,
+              *(c.as_fraction().denominator for c in inputs)):
+        known |= _prime_factors(n)
     primes = set()
     for _, c in root.terms:
-        primes |= _prime_factors(c.as_fraction().denominator)
+        den = c.as_fraction().denominator
+        for p in known:
+            if den % p == 0:
+                primes.add(p)
+                while den % p == 0:
+                    den //= p
+        primes |= _prime_factors(den)  # 1 by the containment
     return primes
 
 
@@ -362,6 +375,8 @@ def newton_puiseux(
     Restricted to rank-1 exponents and to initial forms of degree <= 2
     whose discriminant is a perfect square in the coefficient field.
     """
+    if branch_count is not None and branch_count < 0:
+        raise PreconditionError(f"branch count must be nonnegative, got {branch_count}")
     prec = as_exponent(prec)
     if prec.rank != 1:
         raise PreconditionError("expansion requires rank-1 exponents")

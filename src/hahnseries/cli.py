@@ -46,10 +46,11 @@ __all__ = ["main"]
 
 
 def _number(kind, text, what):
-    """kind(text), with a malformed value raised as a PreconditionError."""
+    """kind(text), with a malformed value (a zero denominator too) raised
+    as a PreconditionError that names the option."""
     try:
         return kind(text)
-    except ValueError as err:
+    except (ValueError, ZeroDivisionError) as err:
         raise PreconditionError(f"{what}: {err}") from None
 
 

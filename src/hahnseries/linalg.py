@@ -88,7 +88,8 @@ def _expand_columns(elements, scalar_vars):
             bucket[idx] = bucket[idx] + Poly({y_part: q})
     out = []
     for z_part in sorted(rows, key=lambda m: (len(m), m)):
-        out.append([Coefficient(p, Poly.one()) for p in rows[z_part]])
+        # a denominator of 1 is already canonical
+        out.append([Coefficient(p, Poly.one(), _canonical=True) for p in rows[z_part]])
     return out
 
 

@@ -356,6 +356,8 @@ class _Parser:
             den_tok = self.peek()
             if den_tok.kind == "int":
                 self.advance()
+                if int(den_tok.text) == 0:
+                    self.fail("zero denominator in a rational literal", den_tok)
                 return Fraction(sign * numerator, int(den_tok.text))
             self.pos = save
         return Fraction(sign * numerator)

@@ -354,7 +354,8 @@ def divexact(p: Poly, q: Poly):
     if p.is_zero():
         return Poly()
     if q.is_const():
-        return p.scale(1 / q.const_value())
+        c = q.const_value()
+        return p if c == 1 else p.scale(1 / c)  # a Poly is never mutated
     vs = q.variables()
     var = min(vs)
     if len(vs) == 1 and p.variables() <= vs:

@@ -5,23 +5,30 @@ inclusion-exclusion approximations.
 A family is valuation independent over the scalar field when the
 valuation of every scalar combination equals the least valuation of the
 participating members; equivalently, within each value class the
-leading coefficients are linearly independent over the scalars.  Basis
-extension rests on optimal approximation: greedily cancel the minimal
-term of the remainder by a combination of basis members of that exact
-value whenever its leading coefficient lies in their span.
+leading coefficients are linearly independent over the scalars.  A
+BasisFamily is validated once and keeps its value classes, the map
+{value: member indices} in increasing value order; optimal
+approximation, basis extension, skeletons and the restricted
+exponential all read that map.  Basis extension rests on optimal
+approximation: greedily cancel the minimal term of the remainder by a
+combination of basis members of that exact value whenever its leading
+coefficient lies in their span.
 
 The inclusion-exclusion approximation specializes one listed
 transcendental per stage.  Working backwards through the variable list,
 each stage picks a substitution finite on every summand built so far;
-the alternating sum over the nonzero stage subsets is then an optimal
-approximation of the input inside the span of the series missing one
-variable each.  The multiplicative version divides instead of
-subtracting and is conjugate to the additive one under exp/log.
+the summands are the signed images over the nonzero stage subsets, and
+h = -(sum of summands) is an optimal approximation of the input inside
+the span of the series missing one variable each.  The multiplicative
+version inverts the odd images instead of negating them and sets
+h = (product of summands)^-1; it is conjugate to the additive one under
+exp/log.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 from typing import Optional
 
 from .analytic import OneUnit, unit_pow
@@ -86,6 +93,15 @@ class IndependenceResult:
         return self.independent
 
 
+def _value_classes(vs):
+    """{value: member indices} of a family of nonzero series, in
+    increasing value order."""
+    classes = {}
+    for idx, s in enumerate(vs):
+        classes.setdefault(s.terms[0][0], []).append(idx)
+    return {value: classes[value] for value in sorted(classes)}
+
+
 def is_valuation_independent(vs, scalars: ScalarField) -> IndependenceResult:
     """Decide valuation independence; on failure return a scalar witness
     r with v(sum r_i vs_i) > min v(vs_i)."""
@@ -93,11 +109,7 @@ def is_valuation_independent(vs, scalars: ScalarField) -> IndependenceResult:
     for s in vs:
         if not s.terms:
             raise PreconditionError("zero series (at precision) in the family")
-    by_value = {}
-    for idx, s in enumerate(vs):
-        by_value.setdefault(s.terms[0][0], []).append(idx)
-    for value in sorted(by_value):
-        idxs = by_value[value]
+    for value, idxs in _value_classes(vs).items():
         leading = [vs[i].leading_coeff() for i in idxs]
         combo = null_combination(leading, scalars.vars)
         if combo is not None:
@@ -109,9 +121,10 @@ def is_valuation_independent(vs, scalars: ScalarField) -> IndependenceResult:
 
 
 class BasisFamily:
-    """A valuation-independent family over a scalar field."""
+    """A valuation-independent family over a scalar field, with its value
+    classes: {value: member indices} in increasing value order."""
 
-    __slots__ = ("entries", "scalars")
+    __slots__ = ("entries", "scalars", "value_classes")
 
     def __init__(self, entries, scalars: ScalarField):
         entries = tuple(entries)
@@ -123,6 +136,7 @@ class BasisFamily:
                 )
         self.entries = entries
         self.scalars = scalars
+        self.value_classes = _value_classes(entries)
 
     def __len__(self):
         return len(self.entries)
@@ -134,22 +148,20 @@ class BasisFamily:
         return f"BasisFamily({len(self.entries)} entries over {self.scalars})"
 
 
-def _greedy_reduce(f, entries, scalars):
-    """Leading-term elimination against an independent family.
+def _greedy_reduce(f, basis: BasisFamily):
+    """Leading-term elimination against a basis family.
 
     Returns (remainder, combination coefficients).
     """
+    entries = basis.entries
     coeffs = [Coefficient.zero()] * len(entries)
     remainder = f
     while remainder.terms:
-        value = remainder.terms[0][0]
-        target = remainder.terms[0][1]
-        idxs = [
-            i for i, b in enumerate(entries) if b.terms and b.terms[0][0] == value
-        ]
-        if not idxs:
+        value, target = remainder.terms[0]
+        idxs = basis.value_classes.get(value)
+        if idxs is None:
             break
-        sol = in_span(target, [entries[i].leading_coeff() for i in idxs], scalars.vars)
+        sol = in_span(target, [entries[i].leading_coeff() for i in idxs], basis.scalars.vars)
         if sol is None:
             break
         for i, lam in zip(idxs, sol):
@@ -160,41 +172,29 @@ def _greedy_reduce(f, entries, scalars):
     return remainder, coeffs
 
 
-def _independent_representatives(entries, scalars):
-    """An independent family spanning the same space, by a greedy sweep."""
-    base = []
-    for e in entries:
-        rem, _ = _greedy_reduce(e, base, scalars)
-        if rem.terms:
-            base.append(rem)
-    return base
-
-
 def optimal_approx(f, basis, scalars=None, with_coeffs=False):
     """Best approximation to f from the span of the basis, in the
     valuation metric: w(approx - f) >= w(b - f) for every span element b.
 
-    basis may be a BasisFamily, or any iterable of series (which is
-    first reduced to an independent spanning family).
+    basis may be a BasisFamily, or any iterable of series, which is first
+    folded through extend_basis into an independent spanning family.
     """
-    if isinstance(basis, BasisFamily):
-        entries = basis.entries
-        scalars = basis.scalars
-    else:
-        if scalars is None:
-            scalars = ScalarField.rationals()
-        entries = _independent_representatives(list(basis), scalars)
+    if not isinstance(basis, BasisFamily):
         if with_coeffs:
             raise PreconditionError("with_coeffs requires a BasisFamily")
-    _, coeffs = _greedy_reduce(f, entries, scalars)
-    terms = [b.scalar_mul(lam) for lam, b in zip(coeffs, entries) if not lam.is_zero()]
+        family = BasisFamily((), scalars or ScalarField.rationals())
+        for b in basis:
+            family = extend_basis(family, b)
+        basis = family
+    _, coeffs = _greedy_reduce(f, basis)
+    terms = [b.scalar_mul(lam) for lam, b in zip(coeffs, basis.entries) if not lam.is_zero()]
     approx = sum(terms[1:], terms[0]) if terms else TruncatedSeries.zero(f.prec)
     return (approx, coeffs) if with_coeffs else approx
 
 
 def extend_basis(basis: BasisFamily, a: TruncatedSeries) -> BasisFamily:
     """Adjoin the reduced remainder of a unless a is already in the span."""
-    remainder, _ = _greedy_reduce(a, basis.entries, basis.scalars)
+    remainder, _ = _greedy_reduce(a, basis)
     if not remainder.terms:
         return basis
     return BasisFamily(basis.entries + (remainder,), basis.scalars)
@@ -276,7 +276,8 @@ def inclusion_exclusion_approx(f: TruncatedSeries, specs, places=None):
 
 
 def mult_inclusion_exclusion(u: OneUnit, specs, places=None):
-    """Multiplicative analogue: divide out specializations stage by stage.
+    """Multiplicative analogue: the summands are the images and inverse
+    images, and h = (prod summands)^-1.
 
     Conjugate to the additive formula under exp/log; the result is an
     optimal approximation with respect to w(u) = v_min(1 - u).
@@ -285,12 +286,8 @@ def mult_inclusion_exclusion(u: OneUnit, specs, places=None):
     summands = {
         key: g.inv() if key.count("1") % 2 else g for key, g in images.items()
     }
-    # h = u / ((id / phi_1) o ... o (id / phi_N))(u), computed stagewise
-    g = u.series
-    for place in reversed(chosen):
-        g = g / g.specialize(place)
-    h = OneUnit(u.series / g)
-    return InclusionExclusionResult(h, summands, chosen)
+    h = prod(summands.values(), start=TruncatedSeries.one(u.series.prec)).inv()
+    return InclusionExclusionResult(OneUnit(h), summands, chosen)
 
 
 # ---------------------------------------------------------------------------
@@ -314,14 +311,12 @@ class Skeleton:
 
 
 def skeleton_of(vs, scalars: ScalarField) -> Skeleton:
-    """Group an independent family by value; record leading coefficients
-    as representatives of the value-graded components."""
-    grouped = {}
-    for s in BasisFamily(vs, scalars):
-        grouped.setdefault(s.terms[0][0], []).append(s.leading_coeff())
+    """The value classes of an independent family, with the leading
+    coefficients as representatives of the value-graded components."""
+    family = BasisFamily(vs, scalars)
     classes = tuple(
-        SkeletonClass(value, len(grouped[value]), tuple(grouped[value]))
-        for value in sorted(grouped)
+        SkeletonClass(value, len(idxs), tuple(family.entries[i].leading_coeff() for i in idxs))
+        for value, idxs in family.value_classes.items()
     )
     return Skeleton(classes, scalars)
 
@@ -364,9 +359,7 @@ class RestrictedExpMap:
         self.images = tuple(images)
 
     def apply(self, eps: TruncatedSeries) -> OneUnit:
-        remainder, coeffs = _greedy_reduce(
-            eps, self.additive.entries, self.additive.scalars
-        )
+        remainder, coeffs = _greedy_reduce(eps, self.additive)
         if remainder.terms:
             raise PreconditionError(
                 "argument is not in the additive span at precision"
@@ -399,39 +392,31 @@ def build_restricted_exp(additive: BasisFamily, units) -> RestrictedExpMap:
     for d in deltas:
         if not d.terms:
             raise PreconditionError("trivial 1-unit in the multiplicative family")
-    s_add = skeleton_of(additive.entries, additive.scalars)
-    s_mult = skeleton_of(deltas, additive.scalars)
-    if s_add.values() != s_mult.values():
+    mult = BasisFamily(deltas, additive.scalars)
+    if list(additive.value_classes) != list(mult.value_classes):
         raise SkeletonMismatchError(
-            f"value sets differ: {[str(v) for v in s_add.values()]} vs "
-            f"{[str(v) for v in s_mult.values()]}"
+            f"value sets differ: {[str(v) for v in additive.value_classes]} vs "
+            f"{[str(v) for v in mult.value_classes]}"
         )
     # equal dimensions and independent leading coefficients: the spans
     # agree exactly when each additive leading coefficient lies in the
     # multiplicative span.  Solve every class before any unit power.
-    solved = {}
-    for ca, cm in zip(s_add.classes, s_mult.classes):
-        if ca.dim != cm.dim:
+    solved = [None] * len(additive)
+    for value, idxs in additive.value_classes.items():
+        unit_idxs = mult.value_classes[value]
+        if len(idxs) != len(unit_idxs):
             raise SkeletonMismatchError(
-                f"component dimensions differ at value {ca.value}"
+                f"component dimensions differ at value {value}"
             )
-        sols = []
-        for c in ca.leading:
-            sol = in_span(c, list(cm.leading), additive.scalars.vars)
+        leading = [deltas[j].leading_coeff() for j in unit_idxs]
+        for i in idxs:
+            sol = in_span(additive.entries[i].leading_coeff(), leading, additive.scalars.vars)
             if sol is None:
                 raise SkeletonMismatchError(
-                    f"leading-coefficient spaces differ at value {ca.value}"
+                    f"leading-coefficient spaces differ at value {value}"
                 )
-            sols.append(sol)
-        solved[ca.value] = iter(sols)
-    unit_idx_by_value = {}
-    for i, d in enumerate(deltas):
-        unit_idx_by_value.setdefault(d.terms[0][0], []).append(i)
-    images = []
-    for b in additive.entries:
-        value = b.terms[0][0]
-        idxs = unit_idx_by_value[value]
-        images.append(_unit_product([units[i] for i in idxs], next(solved[value])))
+            solved[i] = ([units[j] for j in unit_idxs], sol)
+    images = [_unit_product(us, sol) for us, sol in solved]
     return RestrictedExpMap(additive, units, images)
 
 

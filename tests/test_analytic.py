@@ -459,6 +459,29 @@ def test_track_denominators_containment():
     assert track_denominators(q, r) <= allowed
 
 
+def test_track_denominators_large_prime_in_bounded_time(monkeypatch):
+    # the root's denominators carry p^k: only the input denominators and the
+    # residue of Q'(r) are factored, never p^k itself
+    import time
+
+    import hahnseries.analytic as analytic
+
+    p = 100000007
+    q = SeriesPolynomial([-(one(4) + t_mono(4).scalar_mul(Fraction(1, p))), ts({}, 4), one(4)])
+    factored = []
+    real = analytic._prime_factors
+
+    def recording(n):
+        factored.append(n)
+        return real(n)
+
+    monkeypatch.setattr(analytic, "_prime_factors", recording)
+    start = time.perf_counter()
+    assert track_denominators(q, one(4)) == {2, p}
+    assert time.perf_counter() - start < 0.5
+    assert max(factored) == p  # every cofactor of a root denominator is 1
+
+
 # -- newton_puiseux -----------------------------------------------------------
 
 
@@ -633,6 +656,9 @@ def test_puiseux_branch_count_and_multiplicity_split():
     ]
     only_one = newton_puiseux(q, 4, branch_count=1)
     assert len(only_one) == 1
+    assert newton_puiseux(q, 4, branch_count=0) == []
+    with pytest.raises(PreconditionError, match="branch count must be nonnegative, got -1"):
+        newton_puiseux(q, 4, branch_count=-1)
 
 
 def binomial_shift(q, c, mu):

@@ -174,6 +174,10 @@ BAD_INPUTS = {
     "stage": ["--prec", "5", "chain", "--stage", "x|t"],
     "ratrec-deg-den": ["--prec", "5", "ratrec", "1/(1-t)", "--deg-num", "0", "--deg-den", "-3"],
     "ratrec-deg-num": ["--prec", "5", "ratrec", "1/(1-t)", "--deg-num", "-1", "--deg-den", "1"],
+    "branches": ["--prec", "4", "puiseux", "y^2 - y + t", "--branches", "-1"],
+    "prec-zero-den": ["--prec", "1/0", "exp", "t"],
+    "specialize-value-zero-den": ["--prec", "4", "specialize", "a1*t", "--var", "1", "--value", "1/0"],
+    "pow-exponent-zero-den": ["--prec", "4", "pow", "1+t", "1/0"],
 }
 
 
@@ -188,6 +192,33 @@ def test_bad_option_values_exit_2(name):
     jsonschema.validate(payload, SCHEMA)
     assert payload["status"] == "error"
     assert payload["error"]["code"] == 2
+
+
+def test_zero_denominator_option_values_name_the_option(capsys):
+    for name, what in [
+        ("prec-zero-den", "--prec"),
+        ("specialize-value-zero-den", "--value"),
+        ("pow-exponent-zero-den", "pow exponent"),
+    ]:
+        assert run_cli(BAD_INPUTS[name])[0] == 2
+        assert capsys.readouterr().err == f"error: {what}: Fraction(1, 0)\n"
+
+
+@pytest.mark.parametrize("text", ["t^(1/0)", "O(t^(1/0))"])
+def test_zero_denominator_literal_exits_3(text, capsys):
+    code, _ = run_cli(["--prec", "4", "exp", text])
+    assert code == 3
+    assert "zero denominator in a rational literal (line 1" in capsys.readouterr().err
+    code, out = run_cli(["--json", "--prec", "4", "exp", text])
+    assert code == 3
+    payload = json.loads(out)
+    jsonschema.validate(payload, SCHEMA)
+    assert payload["error"]["code"] == 3
+
+
+def test_zero_branches_prints_no_branches():
+    code, out = run_cli(["--prec", "4", "puiseux", "y^2 - y + t", "--branches", "0"])
+    assert (code, out) == (0, "(no branches)\n")
 
 
 def test_value_error_in_a_handler_propagates(monkeypatch):

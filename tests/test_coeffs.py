@@ -223,3 +223,30 @@ def test_str_roundtrippable_forms():
     assert str(one / (a1 - 1)) == "1/(a1 - 1)"
     assert str((a1 + 1) / a2) == "(a1 + 1)/(a2)"
     assert str(Coefficient.const(Fraction(-3, 2))) == "-3/2"
+
+
+def test_span_rows_canonicalize_nothing(monkeypatch):
+    # the rows of a dependence system have denominator 1: already canonical
+    import hahnseries.coeffs as coeffs_mod
+    from hahnseries.linalg import _expand_columns
+
+    cs = [a1 * a2 + one, a2 / (a1 + 1), (a1 - a2) / (a1**2 + 3), a1]
+    expected = [
+        [Coefficient(entry.num, entry.den) for entry in row]
+        for row in _expand_columns(cs, {1})
+    ]
+    calls = []
+    real_gcd = coeffs_mod.poly_gcd
+
+    def counting_gcd(p, q):
+        calls.append((p, q))
+        return real_gcd(p, q)
+
+    monkeypatch.setattr(coeffs_mod, "poly_gcd", counting_gcd)
+    rows = _expand_columns(cs, {1})
+    assert calls == []
+    monkeypatch.undo()
+    assert len(rows) == 2  # the monomials 1 and a2
+    assert [[(str(e.num), str(e.den)) for e in row] for row in rows] == [
+        [(str(e.num), str(e.den)) for e in row] for row in expected
+    ]

@@ -31,6 +31,21 @@ def test_polynomial():
     assert v.coeffs[0].coefficient(0) == Coefficient.const(-1)
 
 
+def test_zero_denominator_literal_is_a_parse_error():
+    for text, column in [("t^(1/0)", 6), ("O(t^(1/0))", 8), ("1 + t^-3/0", 10)]:
+        with pytest.raises(ParseError, match="zero denominator in a rational literal") as info:
+            parse(text)
+        assert (info.value.line, info.value.column) == (1, column)
+    with pytest.raises(ParseError) as info:
+        parse("1 +\n t^(2, 1/0)", rank=2, default_prec=(5, 0))
+    assert (info.value.line, info.value.column) == (2, 10)
+    # written as an expression, 1/0 divides by a zero coefficient
+    with pytest.raises(ZeroDivisionError):
+        parse("1/0")
+    with pytest.raises(ZeroDivisionError):
+        parse("t*(2/0)")
+
+
 def test_syntax_error_position():
     with pytest.raises(ParseError) as info:
         parse("t^^2")

@@ -99,6 +99,14 @@ def test_divexact():
     assert divexact(a1 * a2 + one, a1) is None
 
 
+def test_divexact_by_one_returns_the_dividend():
+    p = a1 * a2 + a3.scale(3)
+    assert divexact(p, one) is p
+    assert divexact(p, Poly.const(1)) is p
+    halved = divexact(p, Poly.const(2))
+    assert halved is not p and halved == p.scale(Fraction(1, 2))
+
+
 def _leading_term_divexact(p, q):
     """Exact division by grlex leading terms, as the library did before
     long division on the dense view; the oracle for divexact."""

@@ -2,19 +2,28 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rand_coeff, rand_eps, rand_series
+from conftest import rand_coeff, rand_eps, rand_fraction, rand_series
 from hahnseries.analytic import OneUnit, exp, log
 from hahnseries.coeffs import Coefficient, Place
 from hahnseries.errors import (
     DependenceError,
+    HahnSeriesError,
+    PrecisionError,
     PreconditionError,
     SkeletonMismatchError,
 )
 from hahnseries.exponents import as_exponent
+from hahnseries.linalg import in_span
 from hahnseries.series import TruncatedSeries
 from hahnseries.valuation_spaces import (
     BasisFamily,
+    RestrictedExpMap,
     ScalarField,
+    Skeleton,
+    SkeletonClass,
+    InclusionExclusionResult,
+    _stage_images,
+    _unit_product,
     build_restricted_exp,
     chain_basis_build,
     extend_basis,
@@ -562,3 +571,389 @@ def test_chain_union_independent():
     final = stages[-1]
     assert len(final) == 5
     assert is_valuation_independent(final.entries, QQ).independent
+
+
+# -- the previous implementations, kept as oracles ------------------------------------
+#
+# Before value classes were stored on BasisFamily, the greedy sweep had its
+# own copy (_independent_representatives), the multiplicative
+# inclusion-exclusion divided stage by stage, and build_restricted_exp
+# compared two skeletons and regrouped the units.
+
+
+def _oracle_greedy_reduce(f, entries, scalars):
+    coeffs = [Coefficient.zero()] * len(entries)
+    remainder = f
+    while remainder.terms:
+        value = remainder.terms[0][0]
+        target = remainder.terms[0][1]
+        idxs = [
+            i for i, b in enumerate(entries) if b.terms and b.terms[0][0] == value
+        ]
+        if not idxs:
+            break
+        sol = in_span(target, [entries[i].leading_coeff() for i in idxs], scalars.vars)
+        if sol is None:
+            break
+        for i, lam in zip(idxs, sol):
+            if lam.is_zero():
+                continue
+            coeffs[i] = coeffs[i] + lam
+            remainder = remainder - entries[i].scalar_mul(lam)
+    return remainder, coeffs
+
+
+def _oracle_independent_representatives(entries, scalars):
+    base = []
+    for e in entries:
+        rem, _ = _oracle_greedy_reduce(e, base, scalars)
+        if rem.terms:
+            base.append(rem)
+    return base
+
+
+def _oracle_optimal_approx(f, entries, scalars):
+    entries = _oracle_independent_representatives(list(entries), scalars)
+    _, coeffs = _oracle_greedy_reduce(f, entries, scalars)
+    terms = [b.scalar_mul(lam) for lam, b in zip(coeffs, entries) if not lam.is_zero()]
+    return sum(terms[1:], terms[0]) if terms else TruncatedSeries.zero(f.prec)
+
+
+def _oracle_mult_inclusion_exclusion(u, specs, places=None):
+    images, chosen = _stage_images(u.series, specs, places)
+    summands = {
+        key: g.inv() if key.count("1") % 2 else g for key, g in images.items()
+    }
+    # h = u / ((id / phi_1) o ... o (id / phi_N))(u), computed stagewise
+    g = u.series
+    for place in reversed(chosen):
+        g = g / g.specialize(place)
+    h = OneUnit(u.series / g)
+    return InclusionExclusionResult(h, summands, chosen)
+
+
+def _oracle_skeleton_of(vs, scalars):
+    grouped = {}
+    for s in BasisFamily(vs, scalars):
+        grouped.setdefault(s.terms[0][0], []).append(s.leading_coeff())
+    classes = tuple(
+        SkeletonClass(value, len(grouped[value]), tuple(grouped[value]))
+        for value in sorted(grouped)
+    )
+    return Skeleton(classes, scalars)
+
+
+def _oracle_build_restricted_exp(additive, units):
+    if not additive.scalars.is_rationals:
+        raise PreconditionError("restricted exponentials use Q scalars")
+    units = list(units)
+    deltas = [u.delta() for u in units]
+    for d in deltas:
+        if not d.terms:
+            raise PreconditionError("trivial 1-unit in the multiplicative family")
+    s_add = _oracle_skeleton_of(additive.entries, additive.scalars)
+    s_mult = _oracle_skeleton_of(deltas, additive.scalars)
+    if s_add.values() != s_mult.values():
+        raise SkeletonMismatchError(
+            f"value sets differ: {[str(v) for v in s_add.values()]} vs "
+            f"{[str(v) for v in s_mult.values()]}"
+        )
+    solved = {}
+    for ca, cm in zip(s_add.classes, s_mult.classes):
+        if ca.dim != cm.dim:
+            raise SkeletonMismatchError(
+                f"component dimensions differ at value {ca.value}"
+            )
+        sols = []
+        for c in ca.leading:
+            sol = in_span(c, list(cm.leading), additive.scalars.vars)
+            if sol is None:
+                raise SkeletonMismatchError(
+                    f"leading-coefficient spaces differ at value {ca.value}"
+                )
+            sols.append(sol)
+        solved[ca.value] = iter(sols)
+    unit_idx_by_value = {}
+    for i, d in enumerate(deltas):
+        unit_idx_by_value.setdefault(d.terms[0][0], []).append(i)
+    images = []
+    for b in additive.entries:
+        value = b.terms[0][0]
+        idxs = unit_idx_by_value[value]
+        images.append(_unit_product([units[i] for i in idxs], next(solved[value])))
+    return RestrictedExpMap(additive, units, images)
+
+
+def _outcome(fn, *args, **kwargs):
+    """('ok', value) or ('err', exception type, message)."""
+    try:
+        return ("ok", fn(*args, **kwargs))
+    except HahnSeriesError as err:
+        return ("err", type(err), str(err))
+
+
+def _series_key(s):
+    return (str(s), s.prec)
+
+
+# -- oracle comparisons ----------------------------------------------------------------
+
+
+def test_value_classes_group_members_in_increasing_value(rng):
+    for scalars in (QQ, ScalarField.with_vars({1})):
+        for _ in range(40):
+            entries = [
+                rand_series(rng, prec=6, nonzero=True, variables=(1,), lo=0, hi=4)
+                for _ in range(rng.randint(1, 4))
+            ]
+            try:
+                basis = BasisFamily(entries, scalars)
+            except DependenceError:
+                continue
+            expected = {}
+            for i, s in enumerate(entries):
+                expected.setdefault(s.terms[0][0], []).append(i)
+            assert list(basis.value_classes) == sorted(expected)
+            assert basis.value_classes == expected
+
+
+def _spanning_list(rng, variables):
+    """A list of series with planted dependences: repeats, scalar multiples
+    and combinations with higher-order noise."""
+    items = [
+        rand_series(rng, prec=6, nonzero=True, variables=variables, lo=0, hi=4)
+        for _ in range(rng.randint(1, 3))
+    ]
+    for _ in range(rng.randint(0, 3)):
+        a, b = rng.choice(items), rng.choice(items)
+        lam = (
+            rand_coeff(rng, variables, max_deg=1, allow_den=False)
+            if variables and rng.random() < 0.5
+            else Coefficient.const(rand_fraction(rng))
+        )
+        noise = ts({rng.randint(2, 5): rng.randint(-2, 2)}, 6)
+        items.insert(rng.randint(0, len(items)), a.scalar_mul(lam) + b + noise)
+    return items
+
+
+def test_optimal_approx_list_matches_independent_representatives(rng):
+    for variables, scalars in [((), QQ), ((1,), QQ), ((1,), ScalarField.with_vars({1}))]:
+        for _ in range(40):
+            items = _spanning_list(rng, variables)
+            f = rand_series(rng, prec=6, variables=variables, lo=0, hi=5)
+            new = optimal_approx(f, items, scalars)
+            old = _oracle_optimal_approx(f, items, scalars)
+            assert _series_key(new) == _series_key(old)
+
+
+def test_optimal_approx_refuses_with_coeffs_before_the_sweep():
+    consumed = []
+
+    def members():
+        for s in (t_mono(5), t_mono(5, 2)):
+            consumed.append(s)
+            yield s
+
+    with pytest.raises(PreconditionError, match="with_coeffs requires a BasisFamily"):
+        optimal_approx(t_mono(5), members(), with_coeffs=True)
+    assert consumed == []
+
+
+def _pole_unit(rng, variables, prec):
+    """1 + eps with coefficients in the listed variables, some with poles."""
+    data = {}
+    for _ in range(rng.randint(1, 3)):
+        e = Fraction(rng.randint(2, 2 * prec), 2)
+        if rng.random() < 0.7:
+            # one or two variables a term: three-variable quotients can stall
+            # the gcd (see ROADMAP item 4)
+            support = tuple(sorted(rng.sample(variables, rng.randint(1, 2))))
+            c = rand_coeff(rng, support, max_deg=1, allow_den=rng.random() < 0.5)
+        else:
+            c = Coefficient.const(rand_fraction(rng))
+        if not c.is_zero():
+            data[e] = c
+    data[0] = Coefficient.one()
+    return OneUnit(ts(data, prec))
+
+
+def _inclexcl_key(res):
+    return (
+        _series_key(res.h.series),
+        res.places,
+        {key: _series_key(g) for key, g in res.summands.items()},
+    )
+
+
+def test_mult_inclexcl_matches_stagewise_oracle(rng):
+    answers = 0
+    for _ in range(60):
+        n = rng.choice((2, 3))
+        variables = list(range(1, n + 1))
+        u = _pole_unit(rng, variables, rng.choice((4, 5, 6)))
+        listed = variables if rng.random() < 0.9 else variables[:-1]  # a refusal
+        new = _outcome(mult_inclusion_exclusion, u, listed)
+        old = _outcome(_oracle_mult_inclusion_exclusion, u, listed)
+        assert new[0] == old[0]
+        if new[0] == "err":
+            assert new[1:] == old[1:]
+            continue
+        assert _inclexcl_key(new[1]) == _inclexcl_key(old[1])
+        answers += 1
+    assert answers >= 45
+
+
+def _rank2_units():
+    t = {
+        "01": (0, 1), "10": (1, 0), "11": (1, 1), "02": (0, 2), "12": (1, 2),
+    }
+    one_ = Coefficient.one()
+    specs = [
+        ({"01": a1 - 1, "10": one_}, (2, 0), [1]),  # the documented example
+        ({"01": a1, "10": one_}, (2, 0), [1]),
+        ({"01": a1 - 1}, (2, 0), [1]),
+        ({"10": a1}, (2, 0), [1]),
+        ({"10": a1, "11": one_}, (2, 0), [1]),
+        ({"01": a1 * a2, "10": a2}, (2, 0), [1, 2]),
+        ({"01": a1 - 1, "10": a2}, (2, 0), [1, 2]),
+        ({"01": one_ / (a1 - 2), "10": one_}, (2, 0), [1]),
+        ({"10": a1 * a2, "11": a1}, (2, 0), [1, 2]),
+        ({"02": a1, "10": one_}, (2, 0), [1]),
+        ({"01": a1 - 1, "12": a1}, (2, 0), [1]),
+        ({"10": a1 + a2, "12": one_}, (2, 1), [1, 2]),
+        ({"01": a2 - 1, "10": a1}, (2, 0), [1, 2]),
+        ({"11": a1, "10": one_ / (a1 + 1)}, (2, 0), [1]),
+        ({"01": (a1 - 1) * a2, "10": one_}, (2, 0), [1, 2]),
+    ]
+    for data, prec, variables in specs:
+        terms = {(0, 0): one_}
+        terms.update({t[k]: c for k, c in data.items()})
+        yield OneUnit(ts(terms, prec)), variables
+
+
+def test_mult_inclexcl_rank2_matches_oracle_where_it_answers():
+    answered_beyond_oracle = 0
+    for u, variables in _rank2_units():
+        new = _outcome(mult_inclusion_exclusion, u, variables)
+        old = _outcome(_oracle_mult_inclusion_exclusion, u, variables)
+        if old[0] == "ok":
+            assert new[0] == "ok"
+            assert _inclexcl_key(new[1]) == _inclexcl_key(old[1])
+            continue
+        if new[0] == "err":
+            assert new[1:] == old[1:]
+            continue
+        assert old[1:] == (
+            PrecisionError,
+            "precision unreachable by integer multiples of the valuation",
+        )
+        answered_beyond_oracle += 1
+        # h * prod_{even sigma != 0} phi_sigma(u) = prod_{odd sigma} phi_sigma(u)
+        res = new[1]
+        even = odd = TruncatedSeries.one(u.series.prec)
+        for key in res.summands:
+            image = _composite_image(u.series, key, res.places)
+            if key.count("1") % 2:
+                odd = odd * image
+            else:
+                even = even * image
+        assert (res.h.series * even).agrees_with(odd)
+    assert answered_beyond_oracle == 3
+
+
+def test_mult_inclexcl_rank2_example():
+    u = OneUnit(ts({(0, 0): 1, (0, 1): a1 - 1, (1, 0): 1}, (2, 0)))
+    res = mult_inclusion_exclusion(u, [1])
+    assert res.places == (Place(1, Fraction(1)),)
+    assert str(res.h) == "1 + t^(1, 0) + O(t^(2, 0))"
+    assert res.h.series == u.series.specialize(res.places[0])
+    with pytest.raises(PrecisionError, match="precision unreachable by integer multiples"):
+        _oracle_mult_inclusion_exclusion(u, [1])
+
+
+def _restricted_exp_case(rng):
+    """An additive Q basis and a unit family: matching, or with a planted
+    trivial unit, dependent units, moved values or symbolic leads."""
+    prec = rng.choice((4, 5))
+    values = sorted(rng.sample([Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)], rng.randint(1, 3)))
+    additive, units = [], []
+    for v in values:
+        for _ in range(rng.randint(1, 2)):
+            lead = Coefficient.const(rand_fraction(rng) or Fraction(1))
+            tail = {v + Fraction(rng.randint(1, 3), 2): Coefficient.const(rand_fraction(rng))}
+            additive.append(ts({v: lead, **tail}, prec))
+    try:
+        basis = BasisFamily(additive, QQ)
+    except DependenceError:
+        basis = BasisFamily(_oracle_independent_representatives(additive, QQ), QQ)
+    for b in basis.entries:
+        v = b.terms[0][0]
+        lead = Coefficient.const(rand_fraction(rng) or Fraction(2))
+        tail = Coefficient.const(rand_fraction(rng))
+        units.append(ts({0: 1, v: lead, v + as_exponent(Fraction(1, 2)): tail}, prec))
+    kind = rng.choice(("match", "match", "match", "trivial", "dependent", "moved", "symbolic", "extra", "drop"))
+    if kind == "trivial":
+        units.insert(rng.randint(0, len(units)), one(prec))
+    elif kind == "dependent":
+        units.append(units[0] * units[0])
+    elif kind == "moved":
+        i = rng.randrange(len(units))
+        units[i] = ts({0: 1, Fraction(5, 2): 1}, prec)
+    elif kind == "symbolic":
+        i = rng.randrange(len(units))
+        v = units[i].terms[1][0]
+        units[i] = ts({0: 1, v: a1}, prec)
+    elif kind == "extra":
+        v = basis.entries[0].terms[0][0]
+        units.append(ts({0: 1, v: a1 + 1, v + as_exponent(1): 1}, prec))
+    elif kind == "drop" and len(units) > 1:
+        units.pop(rng.randrange(len(units)))
+    rng.shuffle(units)
+    return basis, [OneUnit(u) for u in units]
+
+
+def test_restricted_exp_matches_skeleton_oracle(rng):
+    refusals = answers = 0
+    for _ in range(200):
+        basis, units = _restricted_exp_case(rng)
+        new = _outcome(build_restricted_exp, basis, units)
+        old = _outcome(_oracle_build_restricted_exp, basis, units)
+        assert new[0] == old[0]
+        if new[0] == "err":
+            assert new[1:] == old[1:]
+            refusals += 1
+            continue
+        assert [str(i) for i in new[1].images] == [str(i) for i in old[1].images]
+        qs = [Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in basis.entries]
+        eps = TruncatedSeries.zero(basis.entries[0].prec)
+        for q, b in zip(qs, basis.entries):
+            eps = eps + b.scalar_mul(q)
+        assert _series_key(new[1].apply(eps).series) == _series_key(old[1].apply(eps).series)
+        answers += 1
+    assert refusals >= 30 and answers >= 30
+
+
+def test_restricted_exp_validates_once_and_builds_no_skeleton(monkeypatch):
+    import hahnseries.valuation_spaces as vs_module
+
+    calls = {"indep": 0, "skeleton": 0}
+    real_indep = vs_module.is_valuation_independent
+
+    def counting_indep(*args, **kwargs):
+        calls["indep"] += 1
+        return real_indep(*args, **kwargs)
+
+    def counting_skeleton(*args, **kwargs):
+        calls["skeleton"] += 1
+        raise AssertionError("skeleton_of called")
+
+    additive = BasisFamily([t_mono(6), t_mono(6, 2), t_mono(6, 2, c=a1) + t_mono(6, 3)], QQ)
+    units = [
+        OneUnit(one(6) + t_mono(6)),
+        exp(t_mono(6, 2)),
+        OneUnit(one(6) + t_mono(6, 2, c=a1 * 2) + t_mono(6, 3)),
+    ]
+    monkeypatch.setattr(vs_module, "is_valuation_independent", counting_indep)
+    monkeypatch.setattr(vs_module, "skeleton_of", counting_skeleton)
+    build_restricted_exp(additive, units)
+    assert calls == {"indep": 1, "skeleton": 0}
