@@ -3,6 +3,10 @@
 Elements of Q(a1, ..., am) are kept in a unique canonical form, with
 numerator and denominator coprime and the denominator monic under
 graded lex, so equal field elements have identical representations.
+A constant is therefore c/1.  Arithmetic whose operands are both
+constants takes the Q path: it computes the Fraction and builds its
+canonical form directly, with no polynomial product, gcd or division.
+The result is the same canonical form the general path would build.
 A place substitutes one transcendental by a rational; its image is the
 distinguished value INFINITE when the (already cancelled) denominator
 vanishes under the substitution.  Given finitely many elements, only
@@ -28,6 +32,8 @@ __all__ = [
     "finite_place_for",
     "default_candidates",
 ]
+
+_ZERO = Fraction(0)
 
 
 class _Infinite:
@@ -94,8 +100,22 @@ class Coefficient:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
+    def _value(self):
+        """The Fraction of a constant, None otherwise.
+
+        Canonical constants have den exactly 1 (a monic constant), so the
+        test reads the two term dicts and nothing else.
+        """
+        den = self.den.terms
+        if len(den) != 1 or () not in den:
+            return None
+        num = self.num.terms
+        if not num:
+            return _ZERO
+        return num.get(()) if len(num) == 1 else None
+
     def is_const(self) -> bool:
-        return self.num.is_const() and self.den.is_const()
+        return self._value() is not None
 
     def scale(self, q) -> "Coefficient":
         """Multiply by a rational; no gcd, as q != 0 keeps the form canonical."""
@@ -104,17 +124,21 @@ class Coefficient:
         return Coefficient(self.num.scale(q), self.den, _canonical=True)
 
     def as_fraction(self) -> Fraction:
-        if not self.is_const():
+        q = self._value()
+        if q is None:
             raise ValueError(f"not a constant: {self}")
-        if self.num.is_zero():
-            return Fraction(0)
-        return self.num.const_value() / self.den.const_value()
+        return q
 
     def variables(self):
         return self.num.variables() | self.den.variables()
 
     def __add__(self, other):
         other = as_coefficient(other)
+        a = self._value()
+        if a is not None:
+            b = other._value()
+            if b is not None:
+                return Coefficient.const(a + b)
         if self.den == other.den:
             return Coefficient(self.num + other.num, self.den)
         return Coefficient(
@@ -134,6 +158,11 @@ class Coefficient:
 
     def __mul__(self, other):
         other = as_coefficient(other)
+        a = self._value()
+        if a is not None:
+            b = other._value()
+            if b is not None:
+                return Coefficient.const(a * b)
         return Coefficient(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -142,6 +171,11 @@ class Coefficient:
         other = as_coefficient(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero coefficient")
+        a = self._value()
+        if a is not None:
+            b = other._value()
+            if b is not None:
+                return Coefficient.const(a / b)
         return Coefficient(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
@@ -152,6 +186,9 @@ class Coefficient:
         and a power of a monic denominator is monic."""
         if n < 0:
             return Coefficient.one() / self**-n
+        a = self._value()
+        if a is not None:
+            return Coefficient.const(a**n)
         return Coefficient(self.num**n, self.den**n, _canonical=True)
 
     def __eq__(self, other):

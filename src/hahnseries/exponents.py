@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, neg, sub
 
 from .errors import RankMismatchError
 
@@ -43,6 +44,17 @@ class Exponent:
             raise ValueError("rank must be at least 1")
         self.coords = coords
 
+    @classmethod
+    def _of(cls, coords) -> "Exponent":
+        """An exponent on trusted input: a non-empty tuple of Fractions.
+
+        For results computed from exponents already built, which need no
+        validation; public input goes through the constructor.
+        """
+        e = object.__new__(cls)
+        e.coords = coords
+        return e
+
     @property
     def rank(self) -> int:
         return len(self.coords)
@@ -66,18 +78,18 @@ class Exponent:
 
     def scale(self, q) -> "Exponent":
         q = _rational(q)
-        return Exponent(c * q for c in self.coords)
+        return Exponent._of(tuple(c * q for c in self.coords))
 
     def __add__(self, other):
         self._check_rank(other)
-        return Exponent(a + b for a, b in zip(self.coords, other.coords))
+        return Exponent._of(tuple(map(add, self.coords, other.coords)))
 
     def __sub__(self, other):
         self._check_rank(other)
-        return Exponent(a - b for a, b in zip(self.coords, other.coords))
+        return Exponent._of(tuple(map(sub, self.coords, other.coords)))
 
     def __neg__(self):
-        return Exponent(-c for c in self.coords)
+        return Exponent._of(tuple(map(neg, self.coords)))
 
     def __mul__(self, q):
         return self.scale(q)

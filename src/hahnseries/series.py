@@ -11,6 +11,7 @@ records.  All ring operations attach the weakest correct precision.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, sub
 
 from .coeffs import INFINITE, Coefficient, Place, apply_place, as_coefficient
 from .errors import (
@@ -172,17 +173,36 @@ class TruncatedSeries:
         return TruncatedSeries([(self._zero_exp(), c)], self.prec)
 
     def __mul__(self, other):
+        """The product, known below prec = min(self.prec + other.v_floor(),
+        other.prec + self.v_floor()).
+
+        The lexicographic order is a group order, so e1 + e2 < prec exactly
+        when e2 < prec - e1.  Both term lists increase strictly: the first
+        e2 at or past prec - e1 ends the row, as every later e2 is cut too,
+        and a row whose first pair is cut ends the product, as every later
+        e1 is larger.  Exponents are added as coords tuples.
+        """
         other = self._coerce(other)
         prec = min(self.prec + other.v_floor(), other.prec + self.v_floor())
+        cut = prec.coords
+        rhs = [(e.coords, c) for e, c in other.terms]
         out = {}
         for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = e1 + e2
-                if not e < prec:
-                    continue
+            a = e1.coords
+            room = tuple(map(sub, cut, a))
+            if not rhs or not rhs[0][0] < room:
+                break
+            for b, c2 in rhs:
+                if not b < room:
+                    break
+                e = tuple(map(add, a, b))
                 s = out.get(e)
                 out[e] = c1 * c2 if s is None else s + c1 * c2
-        return TruncatedSeries(out, prec)
+        result = TruncatedSeries.zero(prec)
+        result.terms = tuple(
+            (Exponent._of(e), out[e]) for e in sorted(out) if not out[e].is_zero()
+        )
+        return result
 
     __rmul__ = __mul__
 
@@ -410,7 +430,7 @@ def first_order(x: TruncatedSeries, lam, q, mu) -> TruncatedSeries:
         for b, xb in xs.items():
             if b > e:
                 break
-            d = tuple(s - t for s, t in zip(e, b))
+            d = tuple(map(sub, e, b))
             gd = g.get(d)
             if gd is None:
                 continue
@@ -422,7 +442,7 @@ def first_order(x: TruncatedSeries, lam, q, mu) -> TruncatedSeries:
             if not ge.is_zero():
                 g[e] = ge
     out = TruncatedSeries.zero(x.prec)
-    out.terms = tuple((Exponent(e), g[e]) for e in support if e in g)
+    out.terms = tuple((Exponent._of(e), g[e]) for e in support if e in g)
     return out
 
 
@@ -438,7 +458,7 @@ def _monoid_below(gens, zero, prec):
         new = []
         for s in frontier:
             for b in gens:
-                e = tuple(u + v for u, v in zip(s, b))
+                e = tuple(map(add, s, b))
                 if not e < prec:
                     break
                 if e not in seen:

@@ -138,6 +138,23 @@ class BasisFamily:
         self.scalars = scalars
         self.value_classes = _value_classes(entries)
 
+    def _adjoin(self, s) -> "BasisFamily":
+        """The family with s appended, trusted to stay independent.
+
+        For extend_basis only: its remainder either has a value no member
+        has, or a leading coefficient outside the span of its value class.
+        """
+        classes = dict(self.value_classes)
+        value = s.terms[0][0]
+        classes[value] = classes.get(value, []) + [len(self.entries)]
+        if len(classes) > len(self.value_classes):
+            classes = {v: classes[v] for v in sorted(classes)}
+        out = object.__new__(BasisFamily)
+        out.entries = self.entries + (s,)
+        out.scalars = self.scalars
+        out.value_classes = classes
+        return out
+
     def __len__(self):
         return len(self.entries)
 
@@ -193,11 +210,16 @@ def optimal_approx(f, basis, scalars=None, with_coeffs=False):
 
 
 def extend_basis(basis: BasisFamily, a: TruncatedSeries) -> BasisFamily:
-    """Adjoin the reduced remainder of a unless a is already in the span."""
+    """Adjoin the reduced remainder of a unless a is already in the span.
+
+    The greedy reduction stops where the remainder's leading term has no
+    value class or lies outside its class's span, so the extended family
+    is independent without a second check.
+    """
     remainder, _ = _greedy_reduce(a, basis)
     if not remainder.terms:
         return basis
-    return BasisFamily(basis.entries + (remainder,), basis.scalars)
+    return basis._adjoin(remainder)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
+import operator
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import rand_coeff
+from conftest import rand_coeff, rand_fraction
 from hahnseries.coeffs import (
     INFINITE,
     Coefficient,
@@ -14,7 +16,7 @@ from hahnseries.coeffs import (
     finite_place_for,
     variables_of,
 )
-from hahnseries.polynomials import dense
+from hahnseries.polynomials import Poly, dense
 
 a1 = Coefficient.alpha(1)
 a2 = Coefficient.alpha(2)
@@ -250,3 +252,207 @@ def test_span_rows_canonicalize_nothing(monkeypatch):
     assert [[(str(e.num), str(e.den)) for e in row] for row in rows] == [
         [(str(e.num), str(e.den)) for e in row] for row in expected
     ]
+
+
+# -- the Q fast path ----------------------------------------------------------------
+
+OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _general_path(op, a, b):
+    """Each operation as it runs on symbolic operands: a polynomial product
+    and a canonicalization with gcd."""
+    if op == "+":
+        return Coefficient(a.num * b.den + b.num * a.den, a.den * b.den)
+    if op == "-":
+        return Coefficient(a.num * b.den - b.num * a.den, a.den * b.den)
+    if op == "*":
+        return Coefficient(a.num * b.num, a.den * b.den)
+    return Coefficient(a.num * b.den, a.den * b.num)
+
+
+def _form(c):
+    return c.num.terms, c.den.terms
+
+
+BIG = [Fraction(10**30 + 7, 3), Fraction(-(2**70), 10**12 + 39), Fraction(1, 3**40)]
+
+
+def _constant_pairs(rng):
+    """Seeded constant pairs: small and large rationals, zero, negatives and
+    pairs whose sum or difference cancels to 0."""
+    values = [Fraction(0), Fraction(1), Fraction(-1)] + BIG
+    pairs = []
+    for _ in range(300):
+        a, b = (
+            rng.choice(values) if rng.random() < 0.25 else rand_fraction(rng, bound=9)
+            for _ in range(2)
+        )
+        pairs.append((a, b))
+    for q in values + [rand_fraction(rng, bound=9) for _ in range(20)]:
+        pairs += [(q, q), (q, -q)]
+    return [(Coefficient.const(a), Coefficient.const(b)) for a, b in pairs]
+
+
+def test_q_fast_path_matches_general_path(rng):
+    cancelled = 0
+    for a, b in _constant_pairs(rng):
+        for op, fn in OPS.items():
+            if op == "/" and b.is_zero():
+                continue
+            got = fn(a, b)
+            assert _form(got) == _form(_general_path(op, a, b)), (a, op, b)
+            assert all(type(q) is Fraction for q in got.num.terms.values())
+            if got.is_zero():
+                cancelled += 1
+                assert got.num == Poly() and got.den == Poly.one()
+        # plain rationals coerce onto the same path, from either side
+        q = b.as_fraction()
+        assert a + q == q + a == a + b and a * q == q * a == a * b
+        assert a - q == a - b and q - a == b - a
+    assert cancelled > 100
+
+
+def test_mixed_pairs_take_the_general_path(rng):
+    for _ in range(150):
+        q = Coefficient.const(rand_fraction(rng, bound=9))
+        x = rand_coeff(rng, (1, 2))
+        if x.is_const():
+            continue
+        for a, b in ((q, x), (x, q)):
+            for op, fn in OPS.items():
+                if op == "/" and b.is_zero():
+                    continue
+                assert _form(fn(a, b)) == _form(_general_path(op, a, b)), (a, op, b)
+
+
+def test_constant_powers_match_repeated_products(rng):
+    values = [Fraction(0), Fraction(-1)] + BIG + [rand_fraction(rng) for _ in range(30)]
+    for q in values:
+        c = Coefficient.const(q)
+        for n in range(-3, 4):
+            if n < 0 and not q:
+                continue
+            want = one
+            for _ in range(abs(n)):
+                want = _general_path("*", want, c)
+            if n < 0:
+                want = _general_path("/", one, want)
+            assert _form(c**n) == _form(want), (q, n)
+
+
+def test_division_by_zero_constant_keeps_its_message():
+    for a in (Coefficient.const(3), Coefficient.zero(), a1 / (a2 + 1)):
+        for zero in (Coefficient.zero(), 0, Fraction(0)):
+            with pytest.raises(ZeroDivisionError, match="^division by zero coefficient$"):
+                a / zero
+    with pytest.raises(ZeroDivisionError, match="^division by zero coefficient$"):
+        Coefficient.zero() ** -2
+    with pytest.raises(ZeroDivisionError, match="^division by zero coefficient$"):
+        1 / Coefficient.zero()
+
+
+def test_q_series_run_no_polynomial_arithmetic(rng, monkeypatch):
+    import hahnseries.coeffs as coeffs_mod
+    import hahnseries.linalg as linalg_mod
+    import hahnseries.polynomials as poly_mod
+    from hahnseries.analytic import OneUnit, exp, hensel_lift, log, unit_pow
+    from hahnseries.series import SeriesPolynomial, TruncatedSeries
+
+    n = 16
+
+    def dense_q(lo):
+        return TruncatedSeries(
+            {Fraction(lo + k, 2): Fraction(rng.randint(1, 9) * rng.choice((1, -1)), rng.randint(1, 6))
+             for k in range(n)},
+            Fraction(lo + n, 2),
+        )
+
+    eps = dense_q(1)
+    u = OneUnit(TruncatedSeries.one(eps.prec) + eps)
+    s = TruncatedSeries.one(eps.prec).scalar_mul(2) + eps
+    # q = (y - s)(y - 3): r = 2 lifts to s
+    three = TruncatedSeries.one(eps.prec).scalar_mul(3)
+    q = SeriesPolynomial([s * three, -(s + three), TruncatedSeries.one(eps.prec)])
+    r = TruncatedSeries.one(eps.prec).scalar_mul(2)
+
+    calls = Counter()
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    gcd, div, mul = poly_mod.poly_gcd, poly_mod.divexact, Poly.__mul__
+    for mod in (coeffs_mod, poly_mod):
+        monkeypatch.setattr(mod, "poly_gcd", counting("poly_gcd", gcd))
+    for mod in (coeffs_mod, linalg_mod, poly_mod):
+        monkeypatch.setattr(mod, "divexact", counting("divexact", div))
+    monkeypatch.setattr(Poly, "__mul__", counting("Poly.__mul__", mul))
+    results = {
+        "exp": exp(eps).series,
+        "inv": u.series.inv(),
+        "log": log(u),
+        "unit_pow": unit_pow(u, Fraction(-2, 3)).series,
+        "hensel_lift": hensel_lift(q, r),
+    }
+    assert calls == Counter()
+    monkeypatch.undo()
+    assert all(len(f.terms) >= n for f in results.values())
+    assert (results["inv"] * u.series).agrees_with(TruncatedSeries.one(eps.prec))
+    assert exp(results["log"]).agrees_with(u)
+    assert results["hensel_lift"] == s
+
+
+# -- a sympy oracle for the field operations -------------------------------------------
+
+
+def _sympy_of(sympy, gens, c):
+    def poly(p):
+        expr = sympy.Integer(0)
+        for m, q in p.terms.items():
+            term = sympy.Rational(q.numerator, q.denominator)
+            for v, e in m:
+                term *= gens[v - 1] ** e
+            expr += term
+        return expr
+
+    return poly(c.num) / poly(c.den)
+
+
+def _assert_matches_cancel(sympy, gens, got, expr):
+    """got is the reduced form of expr: it equals sympy.cancel(expr) up to a
+    rational factor shared by numerator and denominator, and is monic."""
+    want_num, want_den = sympy.fraction(sympy.cancel(expr))
+    num = _sympy_of(sympy, gens, Coefficient(got.num, Poly.one(), _canonical=True))
+    den = _sympy_of(sympy, gens, Coefficient(got.den, Poly.one(), _canonical=True))
+    if want_num == 0:
+        assert got.num == Poly() and got.den == Poly.one()
+        return
+    ratio = sympy.cancel(num / want_num)
+    assert ratio.is_Rational and ratio != 0, (got, expr)
+    assert sympy.expand(den - ratio * want_den) == 0, (got, expr)
+    assert got.den.leading_coeff() == 1
+
+
+def test_arithmetic_matches_sympy_cancel(rng):
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols("a1:3")
+    for k in range(90):
+        if k % 3 == 0:
+            a, b = (Coefficient.const(rand_fraction(rng, bound=9)) for _ in range(2))
+        elif k % 3 == 1:
+            a, b = Coefficient.const(rand_fraction(rng, bound=9)), rand_coeff(rng, (1, 2))
+        else:
+            a, b = rand_coeff(rng, (1, 2)), rand_coeff(rng, (1, 2))
+        sa, sb = _sympy_of(sympy, gens, a), _sympy_of(sympy, gens, b)
+        for op, fn in OPS.items():
+            if op == "/" and b.is_zero():
+                continue
+            _assert_matches_cancel(sympy, gens, fn(a, b), fn(sa, sb))
+        for n in range(-3, 4):
+            if n < 0 and a.is_zero():
+                continue
+            _assert_matches_cancel(sympy, gens, a**n, sa**n)

@@ -132,3 +132,28 @@ def test_group_spec():
 
 def test_arch_class_function_alias():
     assert arch_class(Exponent((0, 3))) == 2
+
+
+@given(exponents(2), exponents(2), rationals)
+def test_arithmetic_results_match_validated_exponents(g, h, q):
+    # the dunders build their results on trusted tuples: same coords, all
+    # Fractions, as the validating constructor gives
+    for got, coords in (
+        (g + h, [a + b for a, b in zip(g.coords, h.coords)]),
+        (g - h, [a - b for a, b in zip(g.coords, h.coords)]),
+        (-g, [-a for a in g.coords]),
+        (g.scale(q), [a * q for a in g.coords]),
+        (g * 3, [a * 3 for a in g.coords]),
+    ):
+        assert got == Exponent(coords) and hash(got) == hash(Exponent(coords))
+        assert isinstance(got.coords, tuple)
+        assert all(type(c) is Fraction for c in got.coords)
+
+
+def test_constructor_still_validates():
+    with pytest.raises(TypeError):
+        Exponent((0.5,))
+    with pytest.raises(ValueError):
+        Exponent(())
+    with pytest.raises(TypeError):
+        Exponent((1,)).scale(0.5)

@@ -502,3 +502,92 @@ def test_first_order_matches_power_sums():
             assert got == want, (str(x), q)
             refusals += isinstance(want, tuple)
     assert refusals > 100
+
+
+# The product's full double loop, before it stopped at the cut, kept as an
+# oracle: every pair is formed and the pairs at or past prec are dropped.
+
+
+def _full_product(f, g):
+    g = f._coerce(g)
+    prec = min(f.prec + g.v_floor(), g.prec + f.v_floor())
+    out = {}
+    for e1, c1 in f.terms:
+        for e2, c2 in g.terms:
+            e = e1 + e2
+            if not e < prec:
+                continue
+            s = out.get(e)
+            out[e] = c1 * c2 if s is None else s + c1 * c2
+    return TruncatedSeries(out, prec)
+
+
+def _dense(rng, den, lo, n, prec, coeff):
+    """n consecutive terms on the grid 1/den from lo/den, cut at prec."""
+    return TruncatedSeries({Fraction(lo + k, den): coeff(rng) for k in range(n)}, prec)
+
+
+def _rank2(rng, coeff):
+    data = {
+        (Fraction(rng.randint(-1, 2)), Fraction(rng.randint(-3, 3), rng.choice((1, 2)))): coeff(rng)
+        for _ in range(rng.randint(0, 6))
+    }
+    return TruncatedSeries(data, (Fraction(rng.randint(1, 3)), Fraction(rng.randint(-2, 2))))
+
+
+def product_cases(rng):
+    """Seeded factor pairs: dense and sparse, negative, zero and fractional
+    exponents, mixed grids, zero at precision, rank 2, Q and Q(a1)."""
+    rational = lambda r: Fraction(r.randint(-9, 9), r.randint(1, 6))  # noqa: E731
+    symbolic = lambda r: rand_coeff(r, (1,), max_deg=1)  # noqa: E731
+    cases = []
+    for k in range(360):
+        coeff = symbolic if k % 5 == 4 else rational
+        kind = k % 4
+        if kind == 0:  # dense on mixed grids
+            pair = []
+            for _ in range(2):
+                den = rng.choice((1, 2, 3))
+                lo = rng.randint(-2 * den, den)
+                n = rng.randint(1, 10)
+                pair.append(_dense(rng, den, lo, n, Fraction(lo + n + rng.randint(-3, 3), den), coeff))
+        elif kind == 1:  # sparse
+            pair = [
+                rand_series(rng, prec=Fraction(rng.randint(0, 12), rng.choice((1, 2))),
+                            terms=rng.randint(1, 6), variables=(1,) if coeff is symbolic else (),
+                            lo=-3, hi=6, nonzero=rng.random() < 0.9)
+                for _ in range(2)
+            ]
+        elif kind == 2:  # rank 2
+            pair = [_rank2(rng, coeff) for _ in range(2)]
+        else:  # one factor zero at precision, or a scalar
+            f = rand_series(rng, prec=rng.randint(0, 8), terms=5, lo=-2, hi=6)
+            g = rng.choice((TruncatedSeries({}, rng.randint(-2, 6)), coeff(rng), 0))
+            pair = [f, g] if rng.random() < 0.5 else [g, f]
+            if not isinstance(pair[0], TruncatedSeries):
+                pair.reverse()
+        cases.append(tuple(pair))
+    # the same factors with the two precisions each deciding the cut
+    for _ in range(40):
+        f = _dense(rng, 2, -1, 8, Fraction(7, 2), rational)
+        g = _dense(rng, 3, 1, 8, Fraction(rng.randint(3, 12), 3), rational)
+        cases.append((f, g))
+    return cases
+
+
+def test_product_matches_full_double_loop():
+    rng = random.Random(4037)
+    cases = product_cases(rng)
+    assert len(cases) >= 400
+    decided = {"self": 0, "other": 0}
+    nonzero = 0
+    for f, g in cases:
+        got, want = f * g, _full_product(f, g)
+        assert got.terms == want.terms and got.prec == want.prec, (str(f), str(g))
+        assert all(type(q) is Fraction for e, _ in got.terms for q in e.coords)
+        if isinstance(g, TruncatedSeries):
+            a, b = f.prec + g.v_floor(), g.prec + f.v_floor()
+            decided["self" if a < b else "other"] += a != b
+        nonzero += bool(got.terms)
+    assert min(decided.values()) > 50
+    assert nonzero > 250

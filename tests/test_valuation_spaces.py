@@ -22,6 +22,7 @@ from hahnseries.valuation_spaces import (
     Skeleton,
     SkeletonClass,
     InclusionExclusionResult,
+    _greedy_reduce,
     _stage_images,
     _unit_product,
     build_restricted_exp,
@@ -619,6 +620,14 @@ def _oracle_optimal_approx(f, entries, scalars):
     return sum(terms[1:], terms[0]) if terms else TruncatedSeries.zero(f.prec)
 
 
+def _oracle_extend_basis(basis, a):
+    # the extended family was validated again from scratch
+    remainder, _ = _greedy_reduce(a, basis)
+    if not remainder.terms:
+        return basis
+    return BasisFamily(basis.entries + (remainder,), basis.scalars)
+
+
 def _oracle_mult_inclusion_exclusion(u, specs, places=None):
     images, chosen = _stage_images(u.series, specs, places)
     summands = {
@@ -957,3 +966,61 @@ def test_restricted_exp_validates_once_and_builds_no_skeleton(monkeypatch):
     monkeypatch.setattr(vs_module, "skeleton_of", counting_skeleton)
     build_restricted_exp(additive, units)
     assert calls == {"indep": 1, "skeleton": 0}
+
+
+def _family_key(basis):
+    # items, not the dict: the order of the value classes counts
+    return [_series_key(s) for s in basis.entries], list(basis.value_classes.items()), basis.scalars
+
+
+def test_extend_basis_matches_validating_oracle(rng, monkeypatch):
+    import hahnseries.valuation_spaces as vs_mod
+
+    for variables, scalars in [((), QQ), ((1,), QQ), ((1,), ScalarField.with_vars({1}))]:
+        for _ in range(30):
+            items = _spanning_list(rng, variables) + _spanning_list(rng, variables)
+            new = old = BasisFamily((), scalars)
+            for b in items:
+                new, old = extend_basis(new, b), _oracle_extend_basis(old, b)
+                assert _family_key(new) == _family_key(old)
+    stages = [
+        [rand_series(rng, prec=6, nonzero=True, lo=0, hi=4) for _ in range(4)],
+        [rand_series(rng, prec=6, nonzero=True, variables=(1,), lo=0, hi=4) for _ in range(4)],
+        [rand_series(rng, prec=6, nonzero=True, variables=(1, 2), lo=0, hi=4) for _ in range(4)],
+    ]
+    stage_vars = [set(), {1}, {1, 2}]
+    for scalars in (QQ, ScalarField.with_vars({1})):
+        new = chain_basis_build(stages, stage_vars, scalars)
+        monkeypatch.setattr(vs_mod, "extend_basis", _oracle_extend_basis)
+        old = chain_basis_build(stages, stage_vars, scalars)
+        monkeypatch.undo()
+        assert [_family_key(b) for b in new] == [_family_key(b) for b in old]
+
+
+def test_extend_basis_runs_no_independence_check(monkeypatch):
+    import hahnseries.valuation_spaces as vs_mod
+
+    # 12 members in one stage: four values, three independent leading
+    # coefficients 1, a1, a1^2 at each, with tails
+    members = [
+        ts({k: a1**j, k + 1 + j: Fraction(j + 1, 2), 6: k}, 7)
+        for k in range(4)
+        for j in range(3)
+    ]
+    calls = []
+    real = vs_mod.is_valuation_independent
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(vs_mod, "is_valuation_independent", counting)
+    (family,) = chain_basis_build([members], [{1}])
+    assert len(family) == 12 and calls == []
+    assert family.value_classes == {
+        as_exponent(k): [3 * k, 3 * k + 1, 3 * k + 2] for k in range(4)
+    }
+    # the public constructor still validates
+    assert len(BasisFamily(family.entries, QQ)) == 12 and len(calls) == 1
+    monkeypatch.undo()
+    assert is_valuation_independent(family.entries, QQ).independent
