@@ -6,7 +6,13 @@ graded lex, so equal field elements have identical representations.
 A constant is therefore c/1.  Arithmetic whose operands are both
 constants takes the Q path: it computes the Fraction and builds its
 canonical form directly, with no polynomial product, gcd or division.
-The result is the same canonical form the general path would build.
+Other operands are canonical already, and the field operations keep
+that form instead of rebuilding it with the gcd of the whole result
+(Henrici, J. ACM 3, 1956): a sum takes the gcd of the denominators and
+then of the new numerator with that gcd alone, a product or quotient
+the two cross gcds of a numerator with the other denominator.  Either
+way the result is the canonical form that ``Coefficient(num, den)``
+would build from scratch; that general path is for outside input.
 A place substitutes one transcendental by a rational; its image is the
 distinguished value INFINITE when the (already cancelled) denominator
 vanishes under the substitution.  Given finitely many elements, only
@@ -133,17 +139,34 @@ class Coefficient:
         return self.num.variables() | self.den.variables()
 
     def __add__(self, other):
+        """Henrici's sum: for b = g*b', d = g*d' with g = gcd(b, d), a/b + c/d
+        is (a*d' + c*b')/(b'*d), and the only factor it can still share is
+        gcd(a*d' + c*b', g).  Canonical forms are unique, so the sum is 0
+        only when b == d."""
         other = as_coefficient(other)
         a = self._value()
         if a is not None:
             b = other._value()
             if b is not None:
                 return Coefficient.const(a + b)
-        if self.den == other.den:
-            return Coefficient(self.num + other.num, self.den)
-        return Coefficient(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        b, d = self.den, other.den
+        if b == d:
+            num = self.num + other.num
+            if num.is_zero():
+                return Coefficient.zero()
+            g, b = d, Poly.one()  # b' = 1
+        else:
+            g = poly_gcd(b, d)
+            if g.is_const():
+                return Coefficient(
+                    self.num * d + other.num * b, b * d, _canonical=True
+                )
+            b = divexact(b, g)
+            num = self.num * divexact(d, g) + other.num * b
+        g = poly_gcd(num, g)
+        if not g.is_const():
+            num, d = divexact(num, g), divexact(d, g)
+        return Coefficient(num, b * d, _canonical=True)
 
     __radd__ = __add__
 
@@ -163,11 +186,15 @@ class Coefficient:
             b = other._value()
             if b is not None:
                 return Coefficient.const(a * b)
-        return Coefficient(self.num * other.num, self.den * other.den)
+        if self.is_zero() or other.is_zero():
+            return Coefficient.zero()
+        return _cross(self.num, self.den, other.num, other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        """a/b over c/d is a/b times d/c, made canonical by scaling d and c
+        by 1/lc(c) before the cross gcds."""
         other = as_coefficient(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero coefficient")
@@ -176,7 +203,13 @@ class Coefficient:
             b = other._value()
             if b is not None:
                 return Coefficient.const(a / b)
-        return Coefficient(self.num * other.den, self.den * other.num)
+        if self.is_zero():
+            return Coefficient.zero()
+        c, d = other.num, other.den
+        lc = c.leading_coeff()
+        if lc != 1:
+            c, d = c.scale(1 / lc), d.scale(1 / lc)
+        return _cross(self.num, self.den, d, c)
 
     def __rtruediv__(self, other):
         return as_coefficient(other) / self
@@ -211,6 +244,18 @@ class Coefficient:
 
     def __repr__(self):
         return f"Coefficient({self})"
+
+
+def _cross(a, b, c, d) -> Coefficient:
+    """(a/b)*(c/d) for nonzero canonical a/b and c/d: gcd(a, d) and
+    gcd(c, b) are the only factors the product can share."""
+    g = poly_gcd(a, d)
+    if not g.is_const():
+        a, d = divexact(a, g), divexact(d, g)
+    g = poly_gcd(c, b)
+    if not g.is_const():
+        c, b = divexact(c, g), divexact(b, g)
+    return Coefficient(a * c, b * d, _canonical=True)
 
 
 def as_coefficient(x) -> Coefficient:

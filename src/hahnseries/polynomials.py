@@ -8,10 +8,21 @@ fractions, and the printed order of terms.  Every algorithm that
 treats a polynomial as univariate in one variable works on its dense
 view: ``dense(p, var)`` is the list of coefficients (polynomials in
 the other variables) indexed by power, and ``_join`` is its inverse.
-Gcd uses content/primitive-part recursion with a primitive
-pseudo-remainder sequence on dense views (plain Euclid over Q when one
-variable is left); exact division is long division on dense views, and
-perfect-square detection supports quadratic initial forms.
+Most gcds the coefficient field asks for are 1.  Gcd first tries a
+coprimality certificate, the first step of Brown's modular gcd (J. ACM
+18, 1971): for each variable x of both inputs, the other variables go
+to fixed points modulo the prime 2^61 - 1, and a univariate gcd of
+degree 0 there shows that x does not occur in the gcd.  This is sound:
+by Gauss's lemma the gcd h can be scaled to have no multiple of the
+prime in its denominators, so its image divides both images; and
+lc_x(h) divides lc_x of each input, so the image of h keeps its degree
+in x when either input's leading coefficient survives the evaluation.
+When any check fails, gcd computes the answer by content/primitive-part
+recursion with a primitive pseudo-remainder sequence (PRS) on dense
+views (plain Euclid over Q when one variable is left), the one
+algorithm for nontrivial gcds.  Exact division is long division on
+dense views, and perfect-square detection supports quadratic initial
+forms.
 """
 
 from __future__ import annotations
@@ -121,6 +132,8 @@ class Poly:
         q = q if isinstance(q, Fraction) else Fraction(q)
         if not q:
             return Poly()
+        if q == 1:
+            return self  # a Poly is never mutated
         return Poly({m: c * q for m, c in self.terms.items()})
 
     def __add__(self, other):
@@ -149,6 +162,10 @@ class Poly:
     def __mul__(self, other):
         if not self.terms or not other.terms:
             return Poly()
+        if other.is_const():
+            return self.scale(other.terms[()])
+        if self.is_const():
+            return other.scale(self.terms[()])
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -303,13 +320,74 @@ def _prem(a, b):
     return r
 
 
+_P = (1 << 61) - 1  # a Mersenne prime that fits a 64-bit word
+
+
+def _point(v) -> int:
+    """The fixed residue mod _P at which the certificate evaluates a_v."""
+    return (v * 0x9E3779B97F4A7C15 + 0x632BE59BD9B4E019) % _P
+
+
+def _image(p: Poly, var):
+    """p mod _P as a polynomial in var, every other variable at its point:
+    residues indexed by power up to deg_var(p), or None when a
+    coefficient's denominator vanishes mod _P."""
+    out = {}
+    for m, c in p.terms.items():
+        if c.denominator % _P == 0:
+            return None
+        r = c.numerator * pow(c.denominator, -1, _P) % _P
+        e = 0
+        for v, k in m:
+            if v == var:
+                e = k
+            else:
+                r = r * pow(_point(v), k, _P) % _P
+        out[e] = (out.get(e, 0) + r) % _P
+    return [out.get(e, 0) for e in range(max(out) + 1)]
+
+
+def _mod_gcd_degree(a, b) -> int:
+    """Degree of the gcd of two residue lists (top entries nonzero) mod _P."""
+    while b:
+        inv = pow(b[-1], -1, _P)
+        db = len(b) - 1
+        while len(a) > db:
+            f = a.pop() * inv % _P
+            off = len(a) - db
+            for i in range(db):
+                a[off + i] = (a[off + i] - f * b[i]) % _P
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
+def _coprime(p: Poly, q: Poly) -> bool:
+    """True only when gcd(p, q) = 1, shown by word-prime images (see the
+    module docstring); the gcd has no variable that p or q lacks.  False
+    means undecided: a denominator or both leading coefficients vanish
+    mod _P, or the images share a root."""
+    for x in p.variables() & q.variables():
+        a, b = _image(p, x), _image(q, x)
+        if a is None or b is None or not (a[-1] or b[-1]):
+            return False
+        while a and not a[-1]:
+            a.pop()
+        while b and not b[-1]:
+            b.pop()
+        if _mod_gcd_degree(a, b) != 0:
+            return False
+    return True
+
+
 def poly_gcd(p: Poly, q: Poly) -> Poly:
     """Monic gcd over Q[a1, a2, ...]."""
     if p.is_zero():
         return q.monic()
     if q.is_zero():
         return p.monic()
-    if p.is_const() or q.is_const():
+    if p.is_const() or q.is_const() or _coprime(p, q):
         return Poly.one()
     vs = p.variables() | q.variables()
     var = min(vs)

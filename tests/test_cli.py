@@ -236,3 +236,32 @@ def test_value_error_in_a_handler_propagates(monkeypatch):
 
     monkeypatch.setattr(cli, "exp", dividing)
     assert run_cli(["--prec", "5", "exp", "t"])[0] == 2
+
+
+def test_three_variable_multinclexcl_answers_in_time():
+    # each coefficient of this unit has a trivial gcd in three variables; the
+    # CLI used to stall in poly_gcd on it, so a hang fails here by timeout
+    import os
+    import subprocess
+    import sys
+    from math import prod
+
+    from hahnseries.parsing import parse_expression
+    from hahnseries.series import TruncatedSeries
+
+    src = Path(__file__).parent.parent / "src"
+    argv = ["--json", "--prec", "5", "multinclexcl", "1 - 1/(3*a1*a2*a3)*t", "--vars", "1,2,3"]
+    done = subprocess.run(
+        [sys.executable, "-m", "hahnseries.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=20,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)["result"]
+    assert sorted(result["summands"]) == [format(k, "03b") for k in range(1, 8)]
+    h = parse_expression(result["h"], default_prec=5)
+    summands = [parse_expression(s, default_prec=5) for s in result["summands"].values()]
+    assert (h * prod(summands)).agrees_with(TruncatedSeries.one(5))
+    assert len(h.terms) == 5

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import rand_coeff, rand_fraction
+from conftest import rand_coeff, rand_fraction, rand_poly
 from hahnseries.coeffs import (
     INFINITE,
     Coefficient,
@@ -16,7 +16,7 @@ from hahnseries.coeffs import (
     finite_place_for,
     variables_of,
 )
-from hahnseries.polynomials import Poly, dense
+from hahnseries.polynomials import Poly, dense, poly_gcd
 
 a1 = Coefficient.alpha(1)
 a2 = Coefficient.alpha(2)
@@ -260,8 +260,8 @@ OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.tr
 
 
 def _general_path(op, a, b):
-    """Each operation as it runs on symbolic operands: a polynomial product
-    and a canonicalization with gcd."""
+    """Each operation from scratch: a polynomial product and a
+    canonicalization with the gcd of the whole result."""
     if op == "+":
         return Coefficient(a.num * b.den + b.num * a.den, a.den * b.den)
     if op == "-":
@@ -406,6 +406,71 @@ def test_q_series_run_no_polynomial_arithmetic(rng, monkeypatch):
     assert results["hensel_lift"] == s
 
 
+# -- Henrici's formulas ------------------------------------------------------------
+
+
+def _henrici_pairs(rng):
+    """Seeded symbolic pairs over Q(a1, a2, a3), each of one planted shape:
+    a factor shared by the denominators, a factor across a numerator and
+    the other denominator, equal denominators, a sum that cancels to 0,
+    and mixed constant/symbolic pairs."""
+
+    def poly(max_deg=1):
+        p = Poly()
+        while p.is_zero():
+            p = rand_poly(rng, (1, 2, 3), max_deg=max_deg, terms=3)
+        return p
+
+    pairs = []
+    for k in range(300):
+        shape = k % 5
+        h = poly()
+        if shape == 0:
+            x, y = Coefficient(poly(2), h * poly()), Coefficient(poly(2), h * poly())
+        elif shape == 1:
+            x, y = Coefficient(h * poly(), poly()), Coefficient(poly(), h * poly())
+        elif shape == 2:
+            x = Coefficient(poly(2), h * poly())
+            y = Coefficient(poly(2) * h + x.num, x.den)  # x.den unless it cancels
+        elif shape == 3:
+            x = Coefficient(poly(2), h * poly())
+            y = (-x, x, Coefficient(h * poly() - x.num, x.den))[k // 5 % 3]
+        else:
+            x = Coefficient.const(rand_fraction(rng, bound=9))
+            y = Coefficient(poly(2), poly())
+            if k % 2:
+                x, y = y, x
+        pairs.append((x, y))
+    return pairs
+
+
+def test_henrici_matches_general_path(rng):
+    seen = Counter()
+    for a, b in _henrici_pairs(rng):
+        if a.den == b.den:
+            seen["equal dens"] += 1
+        elif not poly_gcd(a.den, b.den).is_const():
+            seen["shared den factor"] += 1
+        if not poly_gcd(a.num, b.den).is_const() or not poly_gcd(b.num, a.den).is_const():
+            seen["cross factor"] += 1
+        if not b.is_zero() and b.num.leading_coeff() != 1:
+            seen["non-monic divisor"] += 1
+        if a.is_const() != b.is_const():
+            seen["mixed"] += 1
+        for op, fn in OPS.items():
+            if op == "/" and b.is_zero():
+                continue
+            got, want = fn(a, b), _general_path(op, a, b)
+            assert _form(got) == _form(want), (a, op, b)
+            assert str(got) == str(want)
+            if got.is_zero():
+                seen["zero " + op] += 1
+                assert got.num == Poly() and got.den == Poly.one()
+    planted = ("equal dens", "shared den factor", "cross factor", "non-monic divisor",
+               "mixed", "zero +", "zero -")
+    assert min(seen[k] for k in planted) >= 20, seen
+
+
 # -- a sympy oracle for the field operations -------------------------------------------
 
 
@@ -439,14 +504,14 @@ def _assert_matches_cancel(sympy, gens, got, expr):
 
 def test_arithmetic_matches_sympy_cancel(rng):
     sympy = pytest.importorskip("sympy")
-    gens = sympy.symbols("a1:3")
+    gens = sympy.symbols("a1:4")
     for k in range(90):
         if k % 3 == 0:
             a, b = (Coefficient.const(rand_fraction(rng, bound=9)) for _ in range(2))
         elif k % 3 == 1:
-            a, b = Coefficient.const(rand_fraction(rng, bound=9)), rand_coeff(rng, (1, 2))
+            a, b = Coefficient.const(rand_fraction(rng, bound=9)), rand_coeff(rng, (1, 2, 3))
         else:
-            a, b = rand_coeff(rng, (1, 2)), rand_coeff(rng, (1, 2))
+            a, b = rand_coeff(rng, (1, 2, 3)), rand_coeff(rng, (1, 2, 3))
         sa, sb = _sympy_of(sympy, gens, a), _sympy_of(sympy, gens, b)
         for op, fn in OPS.items():
             if op == "/" and b.is_zero():

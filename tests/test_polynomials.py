@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -357,3 +358,88 @@ def test_sympy_oracle(rng):
         want = sympy.Poly(sp.as_expr().subs(gens[var - 1], at), *gens, domain="QQ")
         assert got == want
     assert len(seen) == 6
+
+
+# -- the coprimality certificate -------------------------------------------------
+
+
+def _from_sympy(sp, nv):
+    return Poly(
+        {
+            tuple((v + 1, e) for v, e in enumerate(m[:nv]) if e): Fraction(int(c.p), int(c.q))
+            for m, c in sp.terms()
+        }
+    )
+
+
+def test_certificate_agrees_with_sympy_gcd(rng):
+    sympy = pytest.importorskip("sympy")
+    from conftest import rand_poly
+
+    import hahnseries.polynomials as P
+
+    gens = sympy.symbols("a1:4")
+
+    def nonconstant(max_deg):
+        p = one
+        while p.is_const():
+            p = rand_poly(rng, (1, 2, 3), max_deg=max_deg, terms=3)
+        return p
+
+    kinds = Counter()
+    for k in range(800):
+        # 600 planted gcds h*f, h*g, then 200 random pairs
+        h = nonconstant(1) if k < 600 else one
+        p, q = h * nonconstant(2), h * nonconstant(2)
+        want = sympy.gcd(_sympy_poly(sympy, p, gens), _sympy_poly(sympy, q, gens))
+        got = poly_gcd(p, q)
+        assert got == _from_sympy(want, 3).monic(), (p, q)
+        # sound on every pair, and it settles every coprime one here
+        assert P._coprime(p, q) == (got == one), (p, q)
+        kinds["trivial" if got == one else "nontrivial"] += 1
+    assert kinds["trivial"] > 80 and kinds["nontrivial"] > 600
+
+
+def test_certificate_falls_back_when_leading_coefficients_vanish(monkeypatch):
+    import hahnseries.polynomials as P
+
+    # lc in a1 of both is a2 - c, which vanishes at a2's point mod _P
+    c = Poly.const(P._point(2))
+    p = (a2 - c) * a1 + one
+    q = (a2 - c) * a1 * a1 + a2
+    assert not P._coprime(p, q)
+    prems = []
+    real = P._prem
+    monkeypatch.setattr(P, "_prem", lambda a, b: prems.append(1) or real(a, b))
+    assert poly_gcd(p, q) == one
+    assert prems
+    # h's leading coefficients in a1 and in a2 both vanish, so its images
+    # are the constant 1, and the images of p and q are coprime
+    c1 = Poly.const(P._point(1))
+    h = (a1 - c1) * (a2 - c) + one
+    p, q = h * (a1 + a2), h * (a1 - a2 + Poly.const(3))
+    assert not P._coprime(p, q)
+    assert poly_gcd(p, q) == h
+
+
+def test_certificate_falls_back_when_images_share_a_root():
+    import hahnseries.polynomials as P
+
+    # coprime, but a2 at its point makes both images a1 - c
+    c = Poly.const(P._point(2))
+    p, q = a1 - a2, a1 - c
+    assert not P._coprime(p, q)
+    assert poly_gcd(p, q) == one
+    # images share a root in a1, not in a2: still undecided, still 1
+    p, q = (a1 - a2) * (a2 + one), (a1 - c) * a2
+    assert not P._coprime(p, q)
+    assert poly_gcd(p, q) == one
+
+
+def test_certificate_skips_denominators_divisible_by_the_prime():
+    import hahnseries.polynomials as P
+
+    tiny = Poly.const(Fraction(1, P._P))
+    assert not P._coprime(a1 + tiny, a1 + one)
+    assert poly_gcd(a1 + tiny, a1 + one) == one
+    assert poly_gcd(a1 * a2, a3 + one) == one  # no shared variable
