@@ -4,11 +4,20 @@ One subcommand per major operation, a session fixed by (rank, default
 precision, seed), text or JSON output.  Exit codes: 0 on success, 2 on
 a violated precondition or domain error, 3 on a parse error.  For a
 fixed argv and seed the output is byte-identical across runs.
+
+Each subcommand has a handler ``_cmd_<name>(session, args)`` that does
+no I/O and returns ``(text_lines, json_result)``.  ``main`` alone writes:
+it opens and closes ``--out``, wraps ``json_result`` in the report
+envelope (``command`` comes from argparse), and maps a ``ParseError`` to
+exit code 3 and any other ``HahnSeriesError`` or a ``ZeroDivisionError``
+to 2.  Results go to stdout or ``--out``; a text-mode error goes to
+stderr, a ``--json`` error report to where the result would have gone.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import random
 import re
@@ -87,7 +96,6 @@ class _Session:
         self.rank = args.rank
         self.prec = _parse_prec(args.prec, args.rank)
         self.seed = args.seed
-        self.json = args.json
 
     def parse(self, text):
         return parse_expression(text, rank=self.rank, default_prec=self.prec)
@@ -112,7 +120,13 @@ class _Session:
             raise ParseError("expected a coefficient expression")
         return value
 
-    def candidate_specs(self, variables):
+    def parse_basis(self, texts, scalar_vars="") -> BasisFamily:
+        entries = [self.parse_series(t) for t in texts]
+        return BasisFamily(entries, _scalar_field(scalar_vars))
+
+    def candidate_specs(self, vars_text):
+        """The --vars list, each variable with its seeded candidate order."""
+        variables = [_number(int, v, "--vars") for v in vars_text.split(",")]
         if self.seed is None:
             return [(v, None) for v in variables]
         return [
@@ -127,166 +141,108 @@ def _scalar_field(text, what="--scalar-vars") -> ScalarField:
     return ScalarField.with_vars(_int_list(text, what))
 
 
-def _vmin_json(v):
-    if isinstance(v, AtLeast):
-        return {"v_min": str(v.bound), "exact": False}
-    return {"v_min": str(v), "exact": True}
-
-
-def _place_json(p: Place):
-    return {"var": p.var, "q": str(p.q)}
-
-
-def _emit(session, command, result_text, result_json, out):
-    if session.json:
-        payload = {"command": command, "status": "ok", "result": result_json}
-        text = json.dumps(payload, indent=2, sort_keys=True)
-    else:
-        text = "\n".join(result_text)
-    print(text, file=out)
-
-
 # -- command handlers --------------------------------------------------------
 
 
-def _cmd_exp(session, args, out):
-    u = exp(session.parse_series(args.expr))
-    _emit(session, "exp", [str(u.series)], {"series": str(u.series)}, out)
+def _one_series(s):
+    """The result of a command whose answer is one series."""
+    return [str(s)], {"series": str(s)}
 
 
-def _cmd_log(session, args, out):
-    result = log(OneUnit(session.parse_series(args.expr)))
-    _emit(session, "log", [str(result)], {"series": str(result)}, out)
+def _cmd_exp(session, args):
+    return _one_series(exp(session.parse_series(args.expr)).series)
 
 
-def _cmd_pow(session, args, out):
+def _cmd_log(session, args):
+    return _one_series(log(OneUnit(session.parse_series(args.expr))))
+
+
+def _cmd_pow(session, args):
     u = OneUnit(session.parse_series(args.expr))
-    result = unit_pow(u, _number(Fraction, args.exponent, "pow exponent"))
-    _emit(session, "pow", [str(result.series)], {"series": str(result.series)}, out)
+    power = _number(Fraction, args.exponent, "pow exponent")
+    return _one_series(unit_pow(u, power).series)
 
 
-def _cmd_hensel(session, args, out):
+def _cmd_hensel(session, args):
     q = session.parse_poly(args.poly)
-    r = session.parse_series(args.root)
-    root = hensel_lift(q, r)
-    _emit(session, "hensel", [str(root)], {"series": str(root)}, out)
+    return _one_series(hensel_lift(q, session.parse_series(args.root)))
 
 
-def _cmd_puiseux(session, args, out):
+def _cmd_puiseux(session, args):
     q = session.parse_poly(args.poly)
     roots = newton_puiseux(q, session.prec, branch_count=args.branches)
-    _emit(
-        session,
-        "puiseux",
-        [str(r) for r in roots] or ["(no branches)"],
-        {"roots": [str(r) for r in roots]},
-        out,
-    )
+    roots = [str(r) for r in roots]
+    return roots or ["(no branches)"], {"roots": roots}
 
 
-def _cmd_ratrec(session, args, out):
+def _cmd_ratrec(session, args):
     f = session.parse_series(args.expr)
     result = rational_reconstruct(f, args.deg_num, args.deg_den)
     if result is None:
-        _emit(session, "ratrec", ["none"], {"found": False, "num": None, "den": None}, out)
-        return
+        return ["none"], {"found": False, "num": None, "den": None}
     num, den = result
-    _emit(
-        session,
-        "ratrec",
-        [f"num = {num}", f"den = {den}"],
-        {"found": True, "num": str(num), "den": str(den)},
-        out,
-    )
+    lines = [f"num = {num}", f"den = {den}"]
+    return lines, {"found": True, "num": str(num), "den": str(den)}
 
 
-def _cmd_vmin(session, args, out):
+def _cmd_vmin(session, args):
     v = session.parse_series(args.expr).v_min()
-    _emit(session, "vmin", [str(v)], _vmin_json(v), out)
+    if isinstance(v, AtLeast):
+        return [str(v)], {"v_min": str(v.bound), "exact": False}
+    return [str(v)], {"v_min": str(v), "exact": True}
 
 
-def _cmd_specialize(session, args, out):
+def _cmd_specialize(session, args):
     f = session.parse_series(args.expr)
-    image = f.specialize(Place(args.var, _number(Fraction, args.value, "--value")))
-    _emit(session, "specialize", [str(image)], {"series": str(image)}, out)
+    place = Place(args.var, _number(Fraction, args.value, "--value"))
+    return _one_series(f.specialize(place))
 
 
-def _cmd_splitneg(session, args, out):
+def _cmd_splitneg(session, args):
     neg, ring = session.parse_series(args.expr).split_neg()
-    _emit(
-        session,
-        "splitneg",
-        [f"negative: {neg}", f"ring: {ring}"],
-        {"negative": str(neg), "ring": str(ring)},
-        out,
-    )
+    return [f"negative: {neg}", f"ring: {ring}"], {"negative": str(neg), "ring": str(ring)}
 
 
-def _cmd_indep(session, args, out):
+def _cmd_indep(session, args):
     family = [session.parse_series(e) for e in args.exprs]
     result = is_valuation_independent(family, _scalar_field(args.scalar_vars))
     if result.independent:
-        _emit(
-            session,
-            "indep",
-            ["independent"],
-            {"independent": True, "witness": None, "value": None},
-            out,
-        )
-    else:
-        witness = [str(w) for w in result.witness]
-        _emit(
-            session,
-            "indep",
-            [f"dependent at value {result.value}", "witness: " + ", ".join(witness)],
-            {"independent": False, "witness": witness, "value": str(result.value)},
-            out,
-        )
-
-
-def _cmd_optapprox(session, args, out):
-    f = session.parse_series(args.expr)
-    basis = BasisFamily(
-        [session.parse_series(b) for b in args.basis],
-        _scalar_field(args.scalar_vars),
+        return ["independent"], {"independent": True, "witness": None, "value": None}
+    witness = [str(w) for w in result.witness]
+    return (
+        [f"dependent at value {result.value}", "witness: " + ", ".join(witness)],
+        {"independent": False, "witness": witness, "value": str(result.value)},
     )
-    approx = optimal_approx(f, basis)
-    _emit(session, "optapprox", [str(approx)], {"series": str(approx)}, out)
 
 
-def _inclexcl_report(session, command, h, result, out):
+def _cmd_optapprox(session, args):
+    f = session.parse_series(args.expr)
+    basis = session.parse_basis(args.basis, args.scalar_vars)
+    return _one_series(optimal_approx(f, basis))
+
+
+def _inclexcl_report(h, result):
+    summands = {k: str(s) for k, s in result.summands.items()}
     lines = [f"h = {h}"]
-    for key, s in result.summands.items():
-        lines.append(f"sigma {key}: {s}")
+    lines += [f"sigma {k}: {s}" for k, s in summands.items()]
     lines.append("places: " + "; ".join(str(p) for p in result.places))
-    _emit(
-        session,
-        command,
-        lines,
-        {
-            "h": str(h),
-            "summands": {k: str(s) for k, s in result.summands.items()},
-            "places": [_place_json(p) for p in result.places],
-        },
-        out,
-    )
+    places = [{"var": p.var, "q": str(p.q)} for p in result.places]
+    return lines, {"h": str(h), "summands": summands, "places": places}
 
 
-def _cmd_inclexcl(session, args, out):
+def _cmd_inclexcl(session, args):
     f = session.parse_series(args.expr)
-    variables = [_number(int, v, "--vars") for v in args.vars.split(",")]
-    result = inclusion_exclusion_approx(f, session.candidate_specs(variables))
-    _inclexcl_report(session, "inclexcl", result.h, result, out)
+    result = inclusion_exclusion_approx(f, session.candidate_specs(args.vars))
+    return _inclexcl_report(result.h, result)
 
 
-def _cmd_multinclexcl(session, args, out):
+def _cmd_multinclexcl(session, args):
     u = OneUnit(session.parse_series(args.expr))
-    variables = [_number(int, v, "--vars") for v in args.vars.split(",")]
-    result = mult_inclusion_exclusion(u, session.candidate_specs(variables))
-    _inclexcl_report(session, "multinclexcl", result.h.series, result, out)
+    result = mult_inclusion_exclusion(u, session.candidate_specs(args.vars))
+    return _inclexcl_report(result.h.series, result)
 
 
-def _cmd_skeleton(session, args, out):
+def _cmd_skeleton(session, args):
     family = [session.parse_series(e) for e in args.exprs]
     skel = skeleton_of(family, _scalar_field(args.scalar_vars))
     lines = []
@@ -297,25 +253,19 @@ def _cmd_skeleton(session, args, out):
             f"value {cls.value}: dim {cls.dim}, leading [" + ", ".join(leading) + "]"
         )
         classes.append({"value": str(cls.value), "dim": cls.dim, "leading": leading})
-    _emit(session, "skeleton", lines, {"classes": classes}, out)
+    return lines, {"classes": classes}
 
 
-def _cmd_tensor(session, args, out):
-    basis = BasisFamily(
-        [session.parse_series(b) for b in args.basis],
-        _scalar_field(args.scalar_vars),
-    )
+def _cmd_tensor(session, args):
+    basis = session.parse_basis(args.basis, args.scalar_vars)
     coeffs = [session.parse_coeff(c) for c in args.coeff]
     small = _scalar_field(args.small_scalar_vars, "--small-scalar-vars")
-    result = tensor_basis(basis, coeffs, small)
-    entries = [str(e) for e in result.entries]
-    _emit(session, "tensor", entries, {"entries": entries}, out)
+    entries = [str(e) for e in tensor_basis(basis, coeffs, small).entries]
+    return entries, {"entries": entries}
 
 
-def _cmd_restexp(session, args, out):
-    additive = BasisFamily(
-        [session.parse_series(b) for b in args.additive], ScalarField.rationals()
-    )
+def _cmd_restexp(session, args):
+    additive = session.parse_basis(args.additive)
     units = [OneUnit(session.parse_series(u)) for u in args.unit]
     mapping = build_restricted_exp(additive, units)
     lines = []
@@ -327,10 +277,10 @@ def _cmd_restexp(session, args, out):
     if args.apply is not None:
         applied = str(mapping.apply(session.parse_series(args.apply)).series)
         lines.append(f"image: {applied}")
-    _emit(session, "restexp", lines, {"pairs": pairs, "applied": applied}, out)
+    return lines, {"pairs": pairs, "applied": applied}
 
 
-def _cmd_chain(session, args, out):
+def _cmd_chain(session, args):
     stage_vars = []
     stage_inputs = []
     for stage in args.stage:
@@ -340,13 +290,12 @@ def _cmd_chain(session, args, out):
             [session.parse_series(e) for e in tail.split(";") if e.strip()]
         )
     bases = chain_basis_build(stage_inputs, stage_vars)
-    lines = []
-    stages = []
-    for i, basis in enumerate(bases):
-        entries = [str(e) for e in basis.entries]
-        lines.append(f"stage {i}: " + (", ".join(entries) if entries else "(empty)"))
-        stages.append(entries)
-    _emit(session, "chain", lines, {"stages": stages}, out)
+    stages = [[str(e) for e in basis.entries] for basis in bases]
+    lines = [
+        f"stage {i}: " + (", ".join(entries) if entries else "(empty)")
+        for i, entries in enumerate(stages)
+    ]
+    return lines, {"stages": stages}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -464,45 +413,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _error_payload(command, code, err):
-    return json.dumps(
-        {
-            "command": command or "",
-            "status": "error",
-            "error": {"code": code, "message": str(err)},
-        },
-        indent=2,
-        sort_keys=True,
-    )
+def _open_out(path):
+    try:
+        return open(path, "w")
+    except OSError as err:
+        raise PreconditionError(f"--out: {err}") from None
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    out = sys.stdout
-    close_out = False
-    if args.out:
-        out = open(args.out, "w")
-        close_out = True
-    try:
-        session = _Session(args)
-        args.handler(session, args, out)
-        return 0
-    except ParseError as err:
+    args = build_parser().parse_args(argv)
+    with contextlib.ExitStack() as stack:
+        out = sys.stdout
+        try:
+            if args.out:
+                out = stack.enter_context(_open_out(args.out))
+            lines, result = args.handler(_Session(args), args)
+            code, report = 0, {"status": "ok", "result": result}
+        except (HahnSeriesError, ZeroDivisionError) as err:
+            code = 3 if isinstance(err, ParseError) else 2
+            report = {"status": "error", "error": {"code": code, "message": str(err)}}
+            if not args.json:
+                out = sys.stderr
+                lines = [("parse error" if code == 3 else "error") + f": {err}"]
         if args.json:
-            print(_error_payload(args.command, 3, err), file=out)
-        else:
-            print(f"parse error: {err}", file=sys.stderr)
-        return 3
-    except (HahnSeriesError, ZeroDivisionError) as err:
-        if args.json:
-            print(_error_payload(args.command, 2, err), file=out)
-        else:
-            print(f"error: {err}", file=sys.stderr)
-        return 2
-    finally:
-        if close_out:
-            out.close()
+            report["command"] = args.command
+            lines = [json.dumps(report, indent=2, sort_keys=True)]
+        print("\n".join(lines), file=out)
+        return code
 
 
 if __name__ == "__main__":

@@ -818,6 +818,33 @@ def test_ratrec_zero_series():
     assert num.is_zero_at_prec() and den.agrees_with(one(5))
 
 
+def test_ratrec_rejects_rank_2():
+    with pytest.raises(PreconditionError, match="rank-1"):
+        rational_reconstruct(ts({(0, 1): 1}, (3, 0)), 0, 1)
+
+
+def test_puiseux_refusals():
+    y2_minus_t = SeriesPolynomial([ts({1: -1}, 5), ts({}, 5), one(5)])
+    assert len(newton_puiseux(y2_minus_t, 5, max_steps=3)) == 2
+    with pytest.raises(PrecisionError, match="budget"):
+        newton_puiseux(y2_minus_t, 5, max_steps=2)
+    with pytest.raises(PreconditionError, match="positive degree"):
+        newton_puiseux(SeriesPolynomial([one(5)]), 5)
+    rank2 = [ts({(1, 0): -1}, (5, 0)), ts({}, (5, 0)), one((5, 0))]
+    with pytest.raises(PreconditionError, match="rank-1"):
+        newton_puiseux(SeriesPolynomial(rank2), (5, 0))
+
+
+def test_one_unit_inverse_quotient_and_equality():
+    u = OneUnit(one(5) + t_mono(5))
+    v = OneUnit(one(5) + t_mono(5, 2))
+    assert str(u.inv()) == "1 - t + t^2 - t^3 + t^4 + O(t^5)"
+    assert (u * v) / v == u
+    assert (u * v) / v.series == u
+    assert u != v
+    assert u != u.series  # a OneUnit equals only a OneUnit
+
+
 # -- verify_root ----------------------------------------------------------------
 
 

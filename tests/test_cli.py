@@ -265,3 +265,91 @@ def test_three_variable_multinclexcl_answers_in_time():
     summands = [parse_expression(s, default_prec=5) for s in result["summands"].values()]
     assert (h * prod(summands)).agrees_with(TruncatedSeries.one(5))
     assert len(h.terms) == 5
+
+
+def test_independent_family():
+    argv = ["--prec", "5", "indep", "t", "t^2"]
+    assert run_cli(argv) == (0, "independent\n")
+    code, out = run_cli(["--json"] + argv)
+    assert code == 0
+    assert json.loads(out)["result"] == {"independent": True, "witness": None, "value": None}
+
+
+def test_ratrec_without_a_solution():
+    argv = ["--prec", "5", "ratrec", "1 + t", "--deg-num", "0", "--deg-den", "0"]
+    assert run_cli(argv) == (0, "none\n")
+    code, out = run_cli(["--json"] + argv)
+    assert code == 0
+    assert json.loads(out)["result"] == {"found": False, "num": None, "den": None}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["vmin", "y"], "expected a series, got a polynomial in y"),
+        (["puiseux", "3"], "expected a polynomial in y"),
+        (["tensor", "--basis", "t", "--coeff", "t"], "expected a coefficient expression"),
+    ],
+)
+def test_wrong_kind_of_expression_exits_3(argv, message, capsys):
+    assert run_cli(argv) == (3, "")
+    assert capsys.readouterr().err.startswith(f"parse error: {message} (line 1")
+    code, out = run_cli(["--json"] + argv)
+    assert code == 3
+    payload = json.loads(out)
+    jsonschema.validate(payload, SCHEMA)
+    assert payload["command"] == argv[0]
+    assert payload["error"]["code"] == 3
+    assert payload["error"]["message"].startswith(message)
+
+
+def test_scalar_precision_is_padded_at_higher_rank():
+    code, out = run_cli(["--rank", "2", "--prec", "3", "exp", "t"])
+    assert (code, out) == (0, "1 + t^(1, 0) + 1/2*t^(2, 0) + O(t^(3, 0))\n")
+
+
+def test_json_error_payload_goes_to_the_out_file(tmp_path):
+    target = tmp_path / "result.json"
+    assert run_cli(["--json", "--out", str(target), "vmin", "y"]) == (3, "")
+    payload = json.loads(target.read_text())
+    jsonschema.validate(payload, SCHEMA)
+    assert payload["command"] == "vmin"
+    assert payload["error"]["code"] == 3
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "result.txt"
+    argv = ["--out", str(target), "--prec", "4", "vmin", "t"]
+    assert run_cli(argv) == (2, "")
+    assert capsys.readouterr().err.startswith("error: --out: ")
+    code, out = run_cli(["--json"] + argv)
+    assert code == 2
+    payload = json.loads(out)
+    jsonschema.validate(payload, SCHEMA)
+    assert payload["command"] == "vmin"
+    assert payload["error"]["code"] == 2
+    assert payload["error"]["message"].startswith("--out: ")
+    assert not target.parent.exists()
+
+
+def test_out_is_closed_when_a_handler_raises(tmp_path, monkeypatch):
+    import hahnseries.cli as cli
+
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    def broken(*_):
+        raise ValueError("a bug, not a domain error")
+
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    monkeypatch.setattr(cli, "exp", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        main(["--out", str(tmp_path / "result.txt"), "--prec", "5", "exp", "t"])
+    assert len(opened) == 1 and opened[0].closed
+    # and on success, on a text-mode error and on a --json error
+    for argv in (["vmin", "t"], ["vmin", "y"], ["--json", "vmin", "y"]):
+        main(["--out", str(tmp_path / "result.txt")] + argv)
+    assert len(opened) == 4 and all(f.closed for f in opened)

@@ -13,7 +13,7 @@ from hahnseries.errors import (
     SkeletonMismatchError,
 )
 from hahnseries.exponents import as_exponent
-from hahnseries.linalg import in_span
+from hahnseries.linalg import in_span, null_combination
 from hahnseries.series import TruncatedSeries
 from hahnseries.valuation_spaces import (
     BasisFamily,
@@ -558,6 +558,40 @@ def test_chain_rejects_bad_stages():
         chain_basis_build([[t_mono(5, c=a1)]], [set()])
     with pytest.raises(PreconditionError):
         chain_basis_build([[t_mono(5)], [t_mono(5)]], [{1}, set()])
+    with pytest.raises(PreconditionError, match="one variable set per stage"):
+        chain_basis_build([[t_mono(5)], [t_mono(5, 2)]], [set()])
+
+
+def test_tensor_needs_a_coefficient():
+    with pytest.raises(PreconditionError, match="nonempty"):
+        tensor_basis(BasisFamily([t_mono(5)], QQ), [], QQ)
+
+
+def test_inclexcl_needs_a_variable():
+    with pytest.raises(PreconditionError, match="at least one variable"):
+        inclusion_exclusion_approx(t_mono(5), [])
+
+
+def test_restricted_exp_refuses_outside_the_additive_span():
+    unit = one(5) + t_mono(5)
+    mapping = build_restricted_exp(BasisFamily([t_mono(5)], QQ), [OneUnit(unit)])
+    assert mapping.apply(t_mono(5, c=2)).agrees_with(unit * unit)
+    with pytest.raises(PreconditionError, match="additive span"):
+        mapping.apply(t_mono(5, Fraction(1, 2)))
+
+
+def test_span_helpers_on_empty_and_zero_input(monkeypatch):
+    import hahnseries.linalg as linalg
+
+    def no_elimination(*_):
+        raise AssertionError("empty or zero input needs no elimination")
+
+    monkeypatch.setattr(linalg, "rref", no_elimination)
+    zero = Coefficient.zero()
+    assert null_combination([], ()) is None
+    assert in_span(zero, [], ()) == []
+    assert in_span(zero, [a1, a2], ()) == [zero, zero]
+    assert in_span(a1, [], ()) is None
 
 
 def test_chain_union_independent():
