@@ -22,12 +22,14 @@ each step, until it passes the precision.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import lcm
 
 from .coeffs import Coefficient
 from .errors import PrecisionError, PreconditionError
 from .exponents import Exponent, as_exponent, reach_count
 from .linalg import kernel_vector, rref
+from .polynomials import poly_sqrt
 from .series import SeriesPolynomial, TruncatedSeries, eval_poly, first_order
 
 __all__ = [
@@ -265,12 +267,8 @@ def _edges(points):
 
 
 def _initial_form_roots(psi):
-    """Distinct roots of a coefficient-field polynomial of degree <= 2."""
+    """Distinct roots of psi, of degree <= 2, whose ends (hull vertices) are nonzero."""
     deg = len(psi) - 1
-    while deg >= 0 and psi[deg].is_zero():
-        deg -= 1
-    if deg <= 0:
-        return []
     if deg == 1:
         return [-psi[0] / psi[1]]
     if deg == 2:
@@ -291,15 +289,14 @@ def _initial_form_roots(psi):
 
 
 def _coefficient_sqrt(c: Coefficient):
-    from .polynomials import poly_sqrt
-
+    # the roots of a coprime pair over a monic denominator are again one
     rn = poly_sqrt(c.num)
     if rn is None:
         return None
     rd = poly_sqrt(c.den)
     if rd is None:
         return None
-    return Coefficient(rn, rd)
+    return Coefficient(rn, rd, _canonical=True)
 
 
 def _shift_poly(q: SeriesPolynomial, c: Coefficient, mu: Exponent):
@@ -313,52 +310,44 @@ def _shift_poly(q: SeriesPolynomial, c: Coefficient, mu: Exponent):
     return SeriesPolynomial(a)
 
 
-def _resultant(a: SeriesPolynomial, b: SeriesPolynomial) -> TruncatedSeries:
-    """Sylvester resultant with series entries, by cofactor expansion."""
+def _resultant(a: SeriesPolynomial, b: SeriesPolynomial):
+    """Sylvester resultant with series entries, or None if exactly zero: a
+    cofactor expansion down the columns that expands each minor once."""
     m, n = a.degree, b.degree
-    size = m + n
-    # absent Sylvester entries are exact zeros; give them a precision so
-    # large that they never bound the precision of any cofactor product
-    span = Fraction(1)
-    for cf in (*a.coeffs, *b.coeffs):
-        span += abs(cf.prec.coords[0]) + abs(cf.v_floor().coords[0])
-    zero = TruncatedSeries.zero(span * size)
-    rows = []
-    for sh in range(n):
-        row = [zero] * size
-        for k, cf in enumerate(a.coeffs):
-            row[sh + (m - k)] = cf
-        rows.append(row)
-    for sh in range(m):
-        row = [zero] * size
-        for k, cf in enumerate(b.coeffs):
-            row[sh + (n - k)] = cf
-        rows.append(row)
+    rows = [
+        {sh + deg - k: cf for k, cf in enumerate(p.coeffs)}
+        for p, deg, shifts in ((a, m, n), (b, n, m))
+        for sh in range(shifts)
+    ]
 
-    def det(mat):
-        k = len(mat)
-        if k == 1:
-            return mat[0][0]
+    @cache
+    def det(left, col):
+        if len(left) == 1:
+            return rows[left[0]].get(col)
         acc = None
-        for i in range(k):
-            entry = mat[i][0]
-            if not entry.terms:
+        for i, r in enumerate(left):
+            entry = rows[r].get(col)
+            if entry is None or not entry.terms:
                 continue
-            minor = [row[1:] for j, row in enumerate(mat) if j != i]
-            term = entry * det(minor)
+            minor = det(left[:i] + left[i + 1 :], col + 1)
+            if minor is None:
+                continue
+            term = entry * minor
             if i % 2:
                 term = -term
             acc = term if acc is None else acc + term
-        return acc if acc is not None else zero
+        return acc
 
-    return det(rows)
+    return det(tuple(range(m + n)), 0)
 
 
 def _check_squarefree(q: SeriesPolynomial) -> None:
-    if q.degree <= 1 or q.degree > 6:
+    if q.degree <= 1:
         return
+    if q.degree > 8:
+        raise PreconditionError("the squarefree check is limited to degree 8")
     res = _resultant(q, q.derivative())
-    if not res.terms:
+    if res is None or not res.terms:
         raise PreconditionError(
             "polynomial is not squarefree at the working precision"
         )
@@ -382,6 +371,8 @@ def newton_puiseux(
         raise PreconditionError("expansion requires rank-1 exponents")
     if q.degree < 1:
         raise PreconditionError("polynomial must have positive degree")
+    if q.coeffs[-1].is_zero_at_prec():
+        raise PrecisionError("leading coefficient is zero at the working precision")
     budget = [max_steps]
 
     def expand(poly, mu_lower):

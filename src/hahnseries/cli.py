@@ -413,28 +413,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _open_out(path):
-    try:
-        return open(path, "w")
-    except OSError as err:
-        raise PreconditionError(f"--out: {err}") from None
+def _failure(err):
+    """Exit code, JSON report and text lines of a domain error."""
+    code = 3 if isinstance(err, ParseError) else 2
+    report = {"status": "error", "error": {"code": code, "message": str(err)}}
+    return code, report, [("parse error" if code == 3 else "error") + f": {err}"]
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        lines, result = args.handler(_Session(args), args)
+        code, report = 0, {"status": "ok", "result": result}
+    except (HahnSeriesError, ZeroDivisionError) as err:
+        code, report, lines = _failure(err)
     with contextlib.ExitStack() as stack:
         out = sys.stdout
-        try:
-            if args.out:
-                out = stack.enter_context(_open_out(args.out))
-            lines, result = args.handler(_Session(args), args)
-            code, report = 0, {"status": "ok", "result": result}
-        except (HahnSeriesError, ZeroDivisionError) as err:
-            code = 3 if isinstance(err, ParseError) else 2
-            report = {"status": "error", "error": {"code": code, "message": str(err)}}
-            if not args.json:
-                out = sys.stderr
-                lines = [("parse error" if code == 3 else "error") + f": {err}"]
+        # --out is opened only to be written: a text-mode error leaves it be
+        if args.out and (code == 0 or args.json):
+            try:
+                out = stack.enter_context(open(args.out, "w"))
+            except OSError as err:
+                code, report, lines = _failure(PreconditionError(f"--out: {err}"))
+        if code and not args.json:
+            out = sys.stderr
         if args.json:
             report["command"] = args.command
             lines = [json.dumps(report, indent=2, sort_keys=True)]

@@ -195,13 +195,10 @@ def reach_count(step: Exponent, target: Exponent):
     if step >= target:
         return 1
     j = step.arch_class() - 1
-    for i in range(j):
-        ti = target.coords[i]
-        if ti > 0:
-            return None
-        if ti < 0:
-            # n*step has 0 in coordinate i, which already exceeds target
-            return 1
+    # n*step is 0 before coordinate j, and target > 0 is positive at its
+    # first nonzero coordinate: one before j puts it out of reach
+    if any(target.coords[:j]):
+        return None
     # prefixes agree; compare at the leading coordinate of step
     base = target.coords[j] / step.coords[j]
     n = max(1, int(base))

@@ -14,6 +14,7 @@ touching y a SeriesPolynomial.
 
 from __future__ import annotations
 
+import string
 from fractions import Fraction
 
 from .coeffs import Coefficient
@@ -25,6 +26,10 @@ __all__ = ["parse_expression", "format_value"]
 
 
 _OPS = set("+-*/^(),")
+# the grammar is ASCII: str.isdigit and str.isalpha accept '²' or '١'
+_DIGITS = set(string.digits)
+_LETTERS = set(string.ascii_letters)
+_NAME_CHARS = _LETTERS | _DIGITS | {"_"}
 
 
 class _Token:
@@ -57,17 +62,17 @@ def _tokenize(text):
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             tokens.append(_Token("int", text[i:j], line, col))
             col += j - i
             i = j
             continue
-        if ch.isalpha():
+        if ch in _LETTERS:
             j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+            while j < len(text) and text[j] in _NAME_CHARS:
                 j += 1
             tokens.append(_Token("name", text[i:j], line, col))
             col += j - i

@@ -311,14 +311,13 @@ def _term_str(e: Exponent, c: Coefficient, first: bool) -> str:
 
 
 class SeriesPolynomial:
-    """Polynomial in one unknown with truncated-series coefficients."""
+    """Polynomial in one unknown with truncated-series coefficients.  It
+    keeps the degree it is given: a leading coefficient that is zero at
+    precision is unknown, not absent."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        coeffs = [c for c in coeffs]
-        while coeffs and coeffs[-1].is_zero_at_prec():
-            coeffs.pop()
         self.coeffs = tuple(coeffs)
 
     @property
@@ -326,7 +325,7 @@ class SeriesPolynomial:
         return len(self.coeffs) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return all(c.is_zero_at_prec() for c in self.coeffs)
 
     def derivative(self) -> "SeriesPolynomial":
         return SeriesPolynomial(

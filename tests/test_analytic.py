@@ -26,6 +26,8 @@ from hahnseries.analytic import (
     unit_pow,
     verify_root,
 )
+import hahnseries.analytic as analytic_mod
+from hahnseries.parsing import parse_expression
 
 a1 = Coefficient.alpha(1)
 a2 = Coefficient.alpha(2)
@@ -562,8 +564,6 @@ def test_puiseux_non_squarefree():
 
 
 def test_puiseux_polygon_refuses_before_the_resultant(monkeypatch):
-    import hahnseries.analytic as analytic_mod
-
     calls = []
     real = analytic_mod._resultant
 
@@ -584,6 +584,112 @@ def test_puiseux_polygon_refuses_before_the_resultant(monkeypatch):
     with pytest.raises(PreconditionError, match="squarefree"):
         newton_puiseux(q, 5)
     assert len(calls) == 1
+
+
+def _reference_resultant(a: SeriesPolynomial, b: SeriesPolynomial) -> TruncatedSeries:
+    """Sylvester resultant with series entries, by cofactor expansion."""
+    m, n = a.degree, b.degree
+    size = m + n
+    # absent Sylvester entries are exact zeros; give them a precision so
+    # large that they never bound the precision of any cofactor product
+    span = Fraction(1)
+    for cf in (*a.coeffs, *b.coeffs):
+        span += abs(cf.prec.coords[0]) + abs(cf.v_floor().coords[0])
+    zero = TruncatedSeries.zero(span * size)
+    rows = []
+    for sh in range(n):
+        row = [zero] * size
+        for k, cf in enumerate(a.coeffs):
+            row[sh + (m - k)] = cf
+        rows.append(row)
+    for sh in range(m):
+        row = [zero] * size
+        for k, cf in enumerate(b.coeffs):
+            row[sh + (n - k)] = cf
+        rows.append(row)
+
+    def det(mat):
+        k = len(mat)
+        if k == 1:
+            return mat[0][0]
+        acc = None
+        for i in range(k):
+            entry = mat[i][0]
+            if not entry.terms:
+                continue
+            minor = [row[1:] for j, row in enumerate(mat) if j != i]
+            term = entry * det(minor)
+            if i % 2:
+                term = -term
+            acc = term if acc is None else acc + term
+        return acc if acc is not None else zero
+
+    return det(rows)
+
+
+def _rand_resultant_input(rng):
+    """A random q of degree 2..5 over Q or Q(a1) with absent terms,
+    fractional exponents and coefficients that are zero at precision."""
+    degree = rng.choice((2, 2, 3, 3, 4, 5))
+    variables = (1,) if rng.random() < 0.4 else ()
+    prec = Fraction(rng.randint(2, 8), rng.choice((1, 2)))
+    coeffs = []
+    for _ in range(degree + 1):
+        draw = rng.random()
+        if draw < 0.2:
+            coeffs.append(TruncatedSeries.zero(prec))  # an absent term
+        elif draw < 0.3:
+            coeffs.append(TruncatedSeries.zero(rng.randint(1, 3)))  # a lower O(t^k)
+        else:
+            coeffs.append(rand_series(rng, prec=prec, terms=2, lo=-1, hi=4,
+                                      variables=variables, nonzero=True))
+    if rng.random() < 0.8:
+        coeffs[-1] = rand_series(rng, prec=prec, terms=2, lo=0, hi=2, nonzero=True)
+    return SeriesPolynomial(coeffs)
+
+
+def test_resultant_matches_the_cofactor_reference():
+    rng = random.Random(2207)
+    for _ in range(300):
+        q = _rand_resultant_input(rng)
+        dq = q.derivative()
+        new, old = analytic_mod._resultant(q, dq), _reference_resultant(q, dq)
+        assert (new is None or not new.terms) == (not old.terms), str(q)
+        if old.terms:
+            assert (str(new), new.prec) == (str(old), old.prec), str(q)
+
+
+def test_squarefree_check_expands_each_minor_once(monkeypatch):
+    calls = [0]
+    real = TruncatedSeries.__mul__
+
+    def counting(self, other):
+        calls[0] += 1
+        return real(self, other)
+
+    q = parse_expression(
+        "(y - t)*(y - 2*t)*(y - t^2)*(y - 1)*(y - 2)*(y - 2*t^2)", default_prec=6
+    )
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counting)
+    analytic_mod._check_squarefree(q)
+    assert 0 < calls[0] <= 2_000
+
+
+def test_squarefree_check_through_degree_8():
+    # the double root at degree 7 is refused in tests/test_cli.py
+    eight = "(y - t)*(y - 2*t)*(y - t^2)*(y - 1)*(y - 2)*(y - 2*t^2)*(y - t^3)*(y - 2*t^3)"
+    assert len(newton_puiseux(parse_expression(eight, default_prec=6), 6)) == 8
+    nine = parse_expression(eight + "*(y - t^4)", default_prec=6)
+    with pytest.raises(PreconditionError, match="limited to degree 8"):
+        newton_puiseux(nine, 6)
+
+
+def test_puiseux_refuses_a_leading_coefficient_zero_at_precision():
+    # the completion t^2*y^2 + y + 1 has a root of valuation -2 besides -1
+    q = parse_expression("O(t^2)*y^2 + y + 1", default_prec=5)
+    assert q.degree == 2
+    with pytest.raises(PrecisionError, match="leading coefficient"):
+        newton_puiseux(q, 5)
 
 
 def test_puiseux_recovers_constructed_factorizations(rng):

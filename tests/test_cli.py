@@ -344,12 +344,36 @@ def test_out_is_closed_when_a_handler_raises(tmp_path, monkeypatch):
     def broken(*_):
         raise ValueError("a bug, not a domain error")
 
+    target = tmp_path / "result.txt"
+    target.write_bytes(b"kept\n")
     monkeypatch.setattr(cli, "open", recording_open, raising=False)
     monkeypatch.setattr(cli, "exp", broken)
     with pytest.raises(ValueError, match="a bug"):
-        main(["--out", str(tmp_path / "result.txt"), "--prec", "5", "exp", "t"])
-    assert len(opened) == 1 and opened[0].closed
-    # and on success, on a text-mode error and on a --json error
-    for argv in (["vmin", "t"], ["vmin", "y"], ["--json", "vmin", "y"]):
-        main(["--out", str(tmp_path / "result.txt")] + argv)
-    assert len(opened) == 4 and all(f.closed for f in opened)
+        main(["--out", str(target), "--prec", "5", "exp", "t"])
+    # a text-mode error is not written to --out, so the file is not opened
+    assert main(["--out", str(target), "vmin", "y"]) == 3
+    assert opened == [] and target.read_bytes() == b"kept\n"
+    # success and a --json error are written there, and the file is closed
+    for argv in (["vmin", "t"], ["--json", "vmin", "y"]):
+        main(["--out", str(target)] + argv)
+    assert len(opened) == 2 and all(f.closed for f in opened)
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["--prec", "6", "puiseux",
+          "(y - t)^2*(y - t^2)*(y - t^3)*(y - 2*t^3)*(y - 1)*(y - 2)"], 2, "not squarefree"),
+        (["--prec", "5", "puiseux", "O(t^2)*y^2 + y + 1"], 2, "leading coefficient is zero"),
+        (["--prec", "5", "puiseux", "0*y^2 + y + 1"], 2, "leading coefficient is zero"),
+        (["--prec", "5", "vmin", "t^²"], 3, "unexpected character '²'"),
+    ],
+)
+def test_edge_inputs_are_refused(argv, code, message, capsys):
+    assert run_cli(argv) == (code, "")
+    assert message in capsys.readouterr().err
+
+
+def test_hensel_sees_a_leading_coefficient_zero_at_precision():
+    argv = ["--prec", "5", "hensel", "O(t^2)*y^2 + y + 1", "--root", "-1"]
+    assert run_cli(argv) == (0, "-1 + O(t^2)\n")

@@ -1,10 +1,13 @@
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_coeff, rand_series
 from hahnseries.coeffs import Coefficient
-from hahnseries.errors import ParseError
+from hahnseries.errors import HahnSeriesError, ParseError
 from hahnseries.exponents import as_exponent
 from hahnseries.parsing import format_value, parse_expression
 from hahnseries.series import SeriesPolynomial, TruncatedSeries
@@ -181,3 +184,34 @@ def test_string_roundtrip_reparse(rng):
         v = parse(text, default_prec=10)
         printed = format_value(v)
         assert parse(printed, default_prec=10) == v
+
+
+@pytest.mark.parametrize(
+    "text, column", [("t^\u00b2", 3), ("a\u0661", 2), ("t^(1/\u0663)", 6)]
+)
+def test_non_ascii_digits_and_letters_are_parse_errors(text, column):
+    with pytest.raises(ParseError, match="unexpected character") as info:
+        parse(text)
+    assert (info.value.line, info.value.column) == (1, column)
+
+
+# grammar tokens plus non-ASCII digits, a letter and a space; one-digit
+# integers keep every power, and so every case, small
+_FUZZ_TOKENS = [
+    "t", "y", "a1", "a2", "O", "(", ")", "+", "-", "*", "/", "^", ",", " ", "\n",
+    *"0123456789", "\u00b2", "\u0661", "\u0663", "\u00e9", "\u00a0",
+]
+_fuzz_texts = (
+    st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=12)
+    .map("".join)
+    .filter(lambda text: not re.search("[0-9]{2}", text))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fuzz_texts)
+def test_parser_gives_a_value_or_a_typed_error(text):
+    try:
+        format_value(parse(text, default_prec=4))
+    except (HahnSeriesError, ZeroDivisionError):
+        pass

@@ -142,8 +142,6 @@ def test_eval_poly_precision_sound(rng):
             continue
         truncated = eval_poly(q, f)
         q_full = SeriesPolynomial([with_tail(rng, c) for c in coeffs])
-        if q_full.degree != q.degree:
-            continue
         full = eval_poly(q_full, with_tail(rng, f))
         assert agree_below(full, truncated, truncated.prec)
 
