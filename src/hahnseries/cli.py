@@ -18,40 +18,56 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import random
 import re
 import sys
 from fractions import Fraction
+from importlib import import_module
 
-from .analytic import (
-    OneUnit,
-    exp,
-    hensel_lift,
-    log,
-    newton_puiseux,
-    rational_reconstruct,
-    unit_pow,
-)
-from .coeffs import Coefficient, Place
 from .errors import HahnSeriesError, ParseError, PreconditionError
-from .exponents import as_exponent
-from .parsing import parse_expression
-from .series import AtLeast, SeriesPolynomial, TruncatedSeries
-from .valuation_spaces import (
-    BasisFamily,
-    ScalarField,
-    build_restricted_exp,
-    chain_basis_build,
-    inclusion_exclusion_approx,
-    is_valuation_independent,
-    mult_inclusion_exclusion,
-    optimal_approx,
-    skeleton_of,
-    tensor_basis,
-)
 
 __all__ = ["main"]
+
+# Each handler imports the layers it uses when it runs, so a subcommand
+# loads only those.  The layer names the handlers use also read as
+# attributes of this module (``cli.exp``), looked up in their layer on
+# every access and never cached here, so they always give the layer's
+# current binding.
+_LAYER_NAMES = {
+    "analytic": (
+        "OneUnit",
+        "exp",
+        "hensel_lift",
+        "log",
+        "newton_puiseux",
+        "rational_reconstruct",
+        "unit_pow",
+    ),
+    "coeffs": ("Coefficient", "Place"),
+    "exponents": ("as_exponent",),
+    "parsing": ("parse_expression",),
+    "series": ("AtLeast", "SeriesPolynomial", "TruncatedSeries"),
+    "valuation_spaces": (
+        "BasisFamily",
+        "ScalarField",
+        "build_restricted_exp",
+        "chain_basis_build",
+        "inclusion_exclusion_approx",
+        "is_valuation_independent",
+        "mult_inclusion_exclusion",
+        "optimal_approx",
+        "skeleton_of",
+        "tensor_basis",
+    ),
+}
+_LAYER_OF = {name: layer for layer, names in _LAYER_NAMES.items() for name in names}
+
+
+def __getattr__(name):
+    layer = _LAYER_OF.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{layer}", __package__), name)
 
 
 def _number(kind, text, what):
@@ -69,6 +85,8 @@ def _int_list(text, what):
 
 
 def _parse_prec(text, rank):
+    from .exponents import as_exponent
+
     text = text.strip()
     if text.startswith("(") and text.endswith(")"):
         parts = [_number(Fraction, p.strip(), "--prec") for p in text[1:-1].split(",")]
@@ -93,14 +111,21 @@ def _seeded_candidates(seed):
 
 class _Session:
     def __init__(self, args):
+        if args.rank < 1:
+            raise PreconditionError("--rank must be a positive integer")
         self.rank = args.rank
         self.prec = _parse_prec(args.prec, args.rank)
         self.seed = args.seed
 
     def parse(self, text):
+        from .parsing import parse_expression
+
         return parse_expression(text, rank=self.rank, default_prec=self.prec)
 
-    def parse_series(self, text) -> TruncatedSeries:
+    def parse_series(self, text):
+        from .coeffs import Coefficient
+        from .series import SeriesPolynomial, TruncatedSeries
+
         value = self.parse(text)
         if isinstance(value, SeriesPolynomial):
             raise ParseError("expected a series, got a polynomial in y")
@@ -108,19 +133,25 @@ class _Session:
             value = TruncatedSeries([(self.prec.scale(0), value)], self.prec)
         return value
 
-    def parse_poly(self, text) -> SeriesPolynomial:
+    def parse_poly(self, text):
+        from .series import SeriesPolynomial
+
         value = self.parse(text)
         if not isinstance(value, SeriesPolynomial):
             raise ParseError("expected a polynomial in y")
         return value
 
-    def parse_coeff(self, text) -> Coefficient:
+    def parse_coeff(self, text):
+        from .coeffs import Coefficient
+
         value = self.parse(text)
         if not isinstance(value, Coefficient):
             raise ParseError("expected a coefficient expression")
         return value
 
-    def parse_basis(self, texts, scalar_vars="") -> BasisFamily:
+    def parse_basis(self, texts, scalar_vars=""):
+        from .valuation_spaces import BasisFamily
+
         entries = [self.parse_series(t) for t in texts]
         return BasisFamily(entries, _scalar_field(scalar_vars))
 
@@ -135,7 +166,9 @@ class _Session:
         ]
 
 
-def _scalar_field(text, what="--scalar-vars") -> ScalarField:
+def _scalar_field(text, what="--scalar-vars"):
+    from .valuation_spaces import ScalarField
+
     if not text:
         return ScalarField.rationals()
     return ScalarField.with_vars(_int_list(text, what))
@@ -150,25 +183,35 @@ def _one_series(s):
 
 
 def _cmd_exp(session, args):
+    from .analytic import exp
+
     return _one_series(exp(session.parse_series(args.expr)).series)
 
 
 def _cmd_log(session, args):
+    from .analytic import OneUnit, log
+
     return _one_series(log(OneUnit(session.parse_series(args.expr))))
 
 
 def _cmd_pow(session, args):
+    from .analytic import OneUnit, unit_pow
+
     u = OneUnit(session.parse_series(args.expr))
     power = _number(Fraction, args.exponent, "pow exponent")
     return _one_series(unit_pow(u, power).series)
 
 
 def _cmd_hensel(session, args):
+    from .analytic import hensel_lift
+
     q = session.parse_poly(args.poly)
     return _one_series(hensel_lift(q, session.parse_series(args.root)))
 
 
 def _cmd_puiseux(session, args):
+    from .analytic import newton_puiseux
+
     q = session.parse_poly(args.poly)
     roots = newton_puiseux(q, session.prec, branch_count=args.branches)
     roots = [str(r) for r in roots]
@@ -176,6 +219,8 @@ def _cmd_puiseux(session, args):
 
 
 def _cmd_ratrec(session, args):
+    from .analytic import rational_reconstruct
+
     f = session.parse_series(args.expr)
     result = rational_reconstruct(f, args.deg_num, args.deg_den)
     if result is None:
@@ -186,6 +231,8 @@ def _cmd_ratrec(session, args):
 
 
 def _cmd_vmin(session, args):
+    from .series import AtLeast
+
     v = session.parse_series(args.expr).v_min()
     if isinstance(v, AtLeast):
         return [str(v)], {"v_min": str(v.bound), "exact": False}
@@ -193,6 +240,8 @@ def _cmd_vmin(session, args):
 
 
 def _cmd_specialize(session, args):
+    from .coeffs import Place
+
     f = session.parse_series(args.expr)
     place = Place(args.var, _number(Fraction, args.value, "--value"))
     return _one_series(f.specialize(place))
@@ -204,6 +253,8 @@ def _cmd_splitneg(session, args):
 
 
 def _cmd_indep(session, args):
+    from .valuation_spaces import is_valuation_independent
+
     family = [session.parse_series(e) for e in args.exprs]
     result = is_valuation_independent(family, _scalar_field(args.scalar_vars))
     if result.independent:
@@ -216,6 +267,8 @@ def _cmd_indep(session, args):
 
 
 def _cmd_optapprox(session, args):
+    from .valuation_spaces import optimal_approx
+
     f = session.parse_series(args.expr)
     basis = session.parse_basis(args.basis, args.scalar_vars)
     return _one_series(optimal_approx(f, basis))
@@ -231,18 +284,25 @@ def _inclexcl_report(h, result):
 
 
 def _cmd_inclexcl(session, args):
+    from .valuation_spaces import inclusion_exclusion_approx
+
     f = session.parse_series(args.expr)
     result = inclusion_exclusion_approx(f, session.candidate_specs(args.vars))
     return _inclexcl_report(result.h, result)
 
 
 def _cmd_multinclexcl(session, args):
+    from .analytic import OneUnit
+    from .valuation_spaces import mult_inclusion_exclusion
+
     u = OneUnit(session.parse_series(args.expr))
     result = mult_inclusion_exclusion(u, session.candidate_specs(args.vars))
     return _inclexcl_report(result.h.series, result)
 
 
 def _cmd_skeleton(session, args):
+    from .valuation_spaces import skeleton_of
+
     family = [session.parse_series(e) for e in args.exprs]
     skel = skeleton_of(family, _scalar_field(args.scalar_vars))
     lines = []
@@ -257,6 +317,8 @@ def _cmd_skeleton(session, args):
 
 
 def _cmd_tensor(session, args):
+    from .valuation_spaces import tensor_basis
+
     basis = session.parse_basis(args.basis, args.scalar_vars)
     coeffs = [session.parse_coeff(c) for c in args.coeff]
     small = _scalar_field(args.small_scalar_vars, "--small-scalar-vars")
@@ -265,6 +327,9 @@ def _cmd_tensor(session, args):
 
 
 def _cmd_restexp(session, args):
+    from .analytic import OneUnit
+    from .valuation_spaces import build_restricted_exp
+
     additive = session.parse_basis(args.additive)
     units = [OneUnit(session.parse_series(u)) for u in args.unit]
     mapping = build_restricted_exp(additive, units)
@@ -281,6 +346,8 @@ def _cmd_restexp(session, args):
 
 
 def _cmd_chain(session, args):
+    from .valuation_spaces import chain_basis_build
+
     stage_vars = []
     stage_inputs = []
     for stage in args.stage:
@@ -438,6 +505,8 @@ def main(argv=None) -> int:
         if code and not args.json:
             out = sys.stderr
         if args.json:
+            import json
+
             report["command"] = args.command
             lines = [json.dumps(report, indent=2, sort_keys=True)]
         print("\n".join(lines), file=out)

@@ -22,10 +22,10 @@ always be found by scanning candidates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError
+from .exponents import Record
 from .polynomials import Poly, divexact, poly_gcd
 
 __all__ = [
@@ -266,18 +266,15 @@ def as_coefficient(x) -> Coefficient:
     raise TypeError(f"cannot coerce {x!r} to a coefficient")
 
 
-@dataclass(frozen=True)
-class Place:
+class Place(Record):
     """Substitution of one transcendental by a rational: a_var -> q."""
 
-    var: int
-    q: Fraction
+    __slots__ = ("var", "q")
 
-    def __post_init__(self):
-        if self.var < 1:
+    def __init__(self, var: int, q: Fraction):
+        if var < 1:
             raise PreconditionError("variable indices start at 1")
-        if not isinstance(self.q, Fraction):
-            object.__setattr__(self, "q", Fraction(self.q))
+        super().__init__(var, q if isinstance(q, Fraction) else Fraction(q))
 
     def __str__(self):
         return f"a{self.var} -> {self.q}"

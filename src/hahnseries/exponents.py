@@ -9,7 +9,6 @@ first nonzero coordinate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, neg, sub
 
@@ -129,15 +128,52 @@ class Exponent:
         return f"Exponent({self})"
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class Record:
+    """An immutable value on __slots__ with the ==, hash and repr of a
+    frozen dataclass, without importing dataclasses: equal only to a
+    record of the same class with equal fields, hashed as the field
+    tuple, and assigning or deleting a field raises AttributeError."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class GroupSpec(Record):
     """Rank of the exponent group, fixed for the lifetime of a session."""
 
-    k: int = 1
+    __slots__ = ("k",)
 
-    def __post_init__(self):
-        if self.k < 1:
+    def __init__(self, k: int = 1):
+        if k < 1:
             raise ValueError("rank must be a positive integer")
+        super().__init__(k)
 
     def zero(self) -> Exponent:
         return Exponent((Fraction(0),) * self.k)

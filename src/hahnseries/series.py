@@ -10,7 +10,6 @@ records.  All ring operations attach the weakest correct precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add, sub
 
 from .coeffs import INFINITE, Coefficient, Place, apply_place, as_coefficient
@@ -20,7 +19,7 @@ from .errors import (
     PreconditionError,
     RankMismatchError,
 )
-from .exponents import Exponent, as_exponent, reach_count
+from .exponents import Exponent, Record, as_exponent, reach_count
 
 __all__ = [
     "TruncatedSeries",
@@ -36,11 +35,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AtLeast:
+class AtLeast(Record):
     """Valuation known only to be >= bound (possibly infinite)."""
 
-    bound: Exponent
+    __slots__ = ("bound",)
+
+    def __init__(self, bound: Exponent):
+        super().__init__(bound)
 
     def __str__(self):
         return f">= {self.bound} (unknown)"

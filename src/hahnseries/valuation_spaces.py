@@ -64,6 +64,10 @@ class ScalarField:
 
     vars: frozenset = frozenset()
 
+    def __post_init__(self):
+        if any(j < 1 for j in self.vars):
+            raise PreconditionError("variable indices start at 1")
+
     @classmethod
     def rationals(cls) -> "ScalarField":
         return cls(frozenset())
@@ -240,6 +244,11 @@ def _normalize_specs(specs):
             out.append((s[0], s[1]))
         else:
             out.append((int(s), None))
+    seen = set()
+    for var, _ in out:
+        if var in seen:
+            raise PreconditionError(f"variable a{var} is listed more than once")
+        seen.add(var)
     return out
 
 

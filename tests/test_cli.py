@@ -222,19 +222,19 @@ def test_zero_branches_prints_no_branches():
 
 
 def test_value_error_in_a_handler_propagates(monkeypatch):
-    import hahnseries.cli as cli
+    import hahnseries.analytic as analytic
 
     def broken(*_):
         raise ValueError("a bug, not a domain error")
 
-    monkeypatch.setattr(cli, "exp", broken)
+    monkeypatch.setattr(analytic, "exp", broken)
     with pytest.raises(ValueError, match="a bug"):
         run_cli(["--prec", "5", "exp", "t"])
 
     def dividing(*_):
         raise ZeroDivisionError("division by zero")
 
-    monkeypatch.setattr(cli, "exp", dividing)
+    monkeypatch.setattr(analytic, "exp", dividing)
     assert run_cli(["--prec", "5", "exp", "t"])[0] == 2
 
 
@@ -333,6 +333,7 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
 
 
 def test_out_is_closed_when_a_handler_raises(tmp_path, monkeypatch):
+    import hahnseries.analytic as analytic
     import hahnseries.cli as cli
 
     opened = []
@@ -347,7 +348,7 @@ def test_out_is_closed_when_a_handler_raises(tmp_path, monkeypatch):
     target = tmp_path / "result.txt"
     target.write_bytes(b"kept\n")
     monkeypatch.setattr(cli, "open", recording_open, raising=False)
-    monkeypatch.setattr(cli, "exp", broken)
+    monkeypatch.setattr(analytic, "exp", broken)
     with pytest.raises(ValueError, match="a bug"):
         main(["--out", str(target), "--prec", "5", "exp", "t"])
     # a text-mode error is not written to --out, so the file is not opened
@@ -377,3 +378,27 @@ def test_edge_inputs_are_refused(argv, code, message, capsys):
 def test_hensel_sees_a_leading_coefficient_zero_at_precision():
     argv = ["--prec", "5", "hensel", "O(t^2)*y^2 + y + 1", "--root", "-1"]
     assert run_cli(argv) == (0, "-1 + O(t^2)\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["indep", "a1*t", "t", "--scalar-vars", "0"], "variable indices start at 1"),
+        (["indep", "a1*t", "t", "--scalar-vars", "1,-1"], "variable indices start at 1"),
+        (["tensor", "--basis", "t", "--coeff", "1", "--coeff", "a1", "--scalar-vars", "1",
+          "--small-scalar-vars", "0"], "variable indices start at 1"),
+        (["--rank", "0", "vmin", "t"], "--rank must be a positive integer"),
+        (["--rank", "-1", "vmin", "t"], "--rank must be a positive integer"),
+        (["inclexcl", "a1*a2*t", "--vars", "1,2,1"], "variable a1 is listed more than once"),
+        (["multinclexcl", "1 + a1*t", "--vars", "1,1"], "variable a1 is listed more than once"),
+    ],
+)
+def test_bad_indices_ranks_and_repeated_vars_exit_2(argv, message, capsys):
+    argv = ["--prec", "5"] + argv
+    assert run_cli(argv) == (2, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+    code, out = run_cli(["--json"] + argv)
+    assert code == 2
+    payload = json.loads(out)
+    jsonschema.validate(payload, SCHEMA)
+    assert payload["error"] == {"code": 2, "message": message}

@@ -310,6 +310,23 @@ def test_inclexcl_rejects_extra_variables():
         inclusion_exclusion_approx(t_mono(5, c=a3), [1, 2])
 
 
+def test_inclexcl_rejects_a_repeated_variable():
+    u = OneUnit(TruncatedSeries.one(as_exponent(5)) + t_mono(5, c=a1))
+    with pytest.raises(PreconditionError, match="variable a1 is listed more than once"):
+        inclusion_exclusion_approx(t_mono(5, c=a1 * a2), [1, 2, 1])
+    with pytest.raises(PreconditionError, match="variable a2 is listed more than once"):
+        inclusion_exclusion_approx(t_mono(5, c=a1 * a2), [(2, None), (1, None), (2, None)])
+    with pytest.raises(PreconditionError, match="variable a1 is listed more than once"):
+        mult_inclusion_exclusion(u, [1, 1])
+
+
+def test_scalar_field_refuses_indices_below_1():
+    assert str(ScalarField.with_vars([2, 1])) == "Q(a1, a2)"
+    for indices in ([0], [0, -1], [1, -3]):
+        with pytest.raises(PreconditionError, match="variable indices start at 1"):
+            ScalarField.with_vars(indices)
+
+
 def test_inclexcl_coefficient_identity(rng):
     # coefficients already missing one listed variable are reproduced exactly
     for _ in range(30):
