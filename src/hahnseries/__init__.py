@@ -45,7 +45,15 @@ _EXPORTS = {
         "RankMismatchError",
         "SkeletonMismatchError",
     ),
-    "exponents": ("Exponent", "GroupSpec", "arch_class", "compare", "reach_count"),
+    "exponents": (
+        "Exponent",
+        "GroupSpec",
+        "arch_class",
+        "as_exponent",
+        "compare",
+        "reach_count",
+    ),
+    "parsing": ("parse_expression",),
     "series": (
         "AtLeast",
         "SeriesPolynomial",

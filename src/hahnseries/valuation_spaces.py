@@ -462,6 +462,8 @@ def chain_basis_build(stage_inputs, stage_vars, scalars=None):
     stage_vars = [frozenset(v) for v in stage_vars]
     if len(stage_inputs) != len(stage_vars):
         raise PreconditionError("one variable set per stage is required")
+    if any(j < 1 for v in stage_vars for j in v):
+        raise PreconditionError("variable indices start at 1")
     for prev, cur in zip(stage_vars, stage_vars[1:]):
         if not prev <= cur:
             raise PreconditionError("stage variable sets must be nested")

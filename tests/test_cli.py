@@ -1,11 +1,16 @@
 import io
 import json
 import contextlib
+import re
+import types
+from importlib import import_module
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+import hahnseries
+import hahnseries.cli as cli
 from hahnseries.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -391,6 +396,9 @@ def test_hensel_sees_a_leading_coefficient_zero_at_precision():
         (["--rank", "-1", "vmin", "t"], "--rank must be a positive integer"),
         (["inclexcl", "a1*a2*t", "--vars", "1,2,1"], "variable a1 is listed more than once"),
         (["multinclexcl", "1 + a1*t", "--vars", "1,1"], "variable a1 is listed more than once"),
+        (["chain", "--stage", "-1|t"], "variable indices start at 1"),
+        (["chain", "--stage", "0|t"], "variable indices start at 1"),
+        (["chain", "--stage", "1|t", "--stage", "1,0|a1*t"], "variable indices start at 1"),
     ],
 )
 def test_bad_indices_ranks_and_repeated_vars_exit_2(argv, message, capsys):
@@ -402,3 +410,40 @@ def test_bad_indices_ranks_and_repeated_vars_exit_2(argv, message, capsys):
     payload = json.loads(out)
     jsonschema.validate(payload, SCHEMA)
     assert payload["error"] == {"code": 2, "message": message}
+
+
+# names perfbench reads through the CLI module, and every name a handler uses
+CLI_NAMES = {"exp", "unit_pow", "parse_expression", "tensor_basis"} | set(
+    re.findall(r"\bhs\.([A-Za-z]\w*)", Path(cli.__file__).read_text())
+)
+
+
+def test_cli_names_are_the_layers_objects():
+    assert {"BasisFamily", "OneUnit", "as_exponent", "chain_basis_build"} <= CLI_NAMES
+    assert CLI_NAMES <= set(hahnseries.__all__)
+    for name in sorted(CLI_NAMES):
+        value = getattr(cli, name)
+        assert value.__module__.startswith("hahnseries."), name
+        assert value is getattr(import_module(value.__module__), name), name
+
+
+def test_cli_names_follow_a_patched_layer(monkeypatch):
+    import hahnseries.analytic as analytic
+
+    calls = []
+
+    def fake(x):
+        calls.append(str(x))
+        return types.SimpleNamespace(series=x)
+
+    monkeypatch.setattr(analytic, "exp", fake)
+    assert cli.exp is fake
+    assert run_cli(["--prec", "5", "exp", "t"]) == (0, "t + O(t^5)\n")
+    assert calls == ["t + O(t^5)"]
+
+
+def test_cli_refuses_a_name_the_package_does_not_export():
+    for name in ("nonexistent", "analytic", "__version__"):
+        with pytest.raises(AttributeError) as err:
+            getattr(cli, name)
+        assert str(err.value) == f"module 'hahnseries.cli' has no attribute {name!r}"

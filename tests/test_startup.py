@@ -1,8 +1,8 @@
 """The start-up shape: a process imports only the modules its work reaches.
 
 Each import check runs a fresh interpreter with ``PYTHONPATH=src`` and
-reads what it imported from ``-X importtime``; ``-S`` keeps the modules
-that site-packages hooks import out of the list.  The records that
+reads its ``sys.modules`` once it has run; ``-S`` keeps the modules that
+site-packages hooks import out of the list.  The records that
 replaced frozen dataclasses (``Place``, ``GroupSpec``, ``AtLeast``) are
 checked against dataclass twins with the old definitions.
 """
@@ -24,25 +24,31 @@ from hahnseries.coeffs import Place
 from hahnseries.errors import PreconditionError
 from hahnseries.exponents import Exponent, GroupSpec, as_exponent
 from hahnseries.series import AtLeast
+from test_cli import CASES
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def imported(*args):
-    """The modules a fresh interpreter imports to run ``python args``."""
+def imported(statement):
+    """The modules a fresh interpreter has loaded once it has run ``statement``.
+
+    ``-X importtime`` would not do: it does not log a module loaded by
+    ``importlib.import_module``, which is how the package loads a layer.
+    """
     done = subprocess.run(
-        [sys.executable, "-S", "-X", "importtime", *args],
+        [sys.executable, "-S", "-c", f"import sys\n{statement}\nprint(*sorted(sys.modules))"],
         env=dict(os.environ, PYTHONPATH=str(SRC)),
         capture_output=True,
         text=True,
         timeout=60,
         check=True,
     )
-    return {
-        line.rsplit("|", 1)[1].strip()
-        for line in done.stderr.splitlines()
-        if line.startswith("import time:")
-    }
+    return set(done.stdout.splitlines()[-1].split())
+
+
+def cli_main(argv):
+    """A statement that runs the CLI on ``argv`` and checks that it succeeds."""
+    return f"import hahnseries.cli\nassert hahnseries.cli.main({argv!r}) == 0"
 
 
 def ours(modules):
@@ -50,17 +56,43 @@ def ours(modules):
 
 
 def test_importing_the_package_loads_no_submodule():
-    assert ours(imported("-c", "import hahnseries")) == {"hahnseries"}
+    assert ours(imported("import hahnseries")) == {"hahnseries"}
 
 
 def test_importing_the_cli_loads_only_the_errors():
-    modules = ours(imported("-c", "import hahnseries.cli"))
+    modules = ours(imported("import hahnseries.cli"))
     assert modules == {"hahnseries", "hahnseries.cli", "hahnseries.errors"}
 
 
+def test_an_exported_name_loads_its_submodule():
+    modules = ours(imported("import hahnseries\nhahnseries.BasisFamily"))
+    assert "hahnseries.valuation_spaces" in modules
+
+
 def test_exp_loads_no_valuation_spaces_and_no_dataclasses():
-    modules = imported("-m", "hahnseries.cli", "--prec", "5", "exp", "t")
+    modules = imported(cli_main(["--prec", "5", "exp", "t"]))
     assert "hahnseries.analytic" in modules
+    assert "hahnseries.valuation_spaces" not in modules
+    assert "dataclasses" not in modules
+
+
+# the other series subcommands, each with the layer it runs
+SERIES_COMMANDS = {
+    "log": "analytic",
+    "pow": "analytic",
+    "hensel": "analytic",
+    "puiseux": "analytic",
+    "ratrec": "analytic",
+    "vmin": "series",
+    "specialize": "series",
+    "splitneg": "series",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SERIES_COMMANDS))
+def test_series_subcommands_load_no_valuation_spaces_and_no_dataclasses(name):
+    modules = imported(cli_main(CASES[name]))
+    assert f"hahnseries.{SERIES_COMMANDS[name]}" in modules
     assert "hahnseries.valuation_spaces" not in modules
     assert "dataclasses" not in modules
 

@@ -579,6 +579,12 @@ def test_chain_rejects_bad_stages():
         chain_basis_build([[t_mono(5)], [t_mono(5, 2)]], [set()])
 
 
+@pytest.mark.parametrize("stage_vars", [[{0}], [{-1}], [{1}, {1, 0}]])
+def test_chain_refuses_variable_indices_below_1(stage_vars):
+    with pytest.raises(PreconditionError, match="variable indices start at 1"):
+        chain_basis_build([[t_mono(5)]] * len(stage_vars), stage_vars)
+
+
 def test_tensor_needs_a_coefficient():
     with pytest.raises(PreconditionError, match="nonempty"):
         tensor_basis(BasisFamily([t_mono(5)], QQ), [], QQ)
