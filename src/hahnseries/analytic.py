@@ -22,7 +22,6 @@ each step, until it passes the precision.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from math import lcm
 
 from .coeffs import Coefficient
@@ -310,59 +309,34 @@ def _shift_poly(q: SeriesPolynomial, c: Coefficient, mu: Exponent):
     return SeriesPolynomial(a)
 
 
-def _resultant(a: SeriesPolynomial, b: SeriesPolynomial):
-    """Sylvester resultant with series entries, or None if exactly zero: a
-    cofactor expansion down the columns that expands each minor once."""
-    m, n = a.degree, b.degree
-    rows = [
-        {sh + deg - k: cf for k, cf in enumerate(p.coeffs)}
-        for p, deg, shifts in ((a, m, n), (b, n, m))
-        for sh in range(shifts)
-    ]
-
-    @cache
-    def det(left, col):
-        if len(left) == 1:
-            return rows[left[0]].get(col)
-        acc = None
-        for i, r in enumerate(left):
-            entry = rows[r].get(col)
-            if entry is None or not entry.terms:
-                continue
-            minor = det(left[:i] + left[i + 1 :], col + 1)
-            if minor is None:
-                continue
-            term = entry * minor
-            if i % 2:
-                term = -term
-            acc = term if acc is None else acc + term
-        return acc
-
-    return det(tuple(range(m + n)), 0)
-
-
-def _check_squarefree(q: SeriesPolynomial) -> None:
-    if q.degree <= 1:
-        return
-    if q.degree > 8:
-        raise PreconditionError("the squarefree check is limited to degree 8")
-    res = _resultant(q, q.derivative())
-    if res is None or not res.terms:
-        raise PreconditionError(
-            "polynomial is not squarefree at the working precision"
-        )
-
-
 def newton_puiseux(
     q: SeriesPolynomial,
     prec,
     branch_count=None,
     max_steps: int = 2_000,
 ):
-    """Fractional-exponent series roots of q via the Newton polygon.
+    """Fractional-exponent series roots of q via the Newton polygon, each
+    known to the precision that q's coefficients determine.
 
     Restricted to rank-1 exponents and to initial forms of degree <= 2
     whose discriminant is a perfect square in the coefficient field.
+
+    A branch ends at a root r with its shifted polynomial
+    P(z) = q(r + z) = sum P_k z^k, whose coefficients carry the precision
+    of series arithmetic.  Let d = v(P_1), a visible term, and
+    s = P_0.v_floor() - d.  The branch is certified when
+    P_k.v_floor() > d - (k-1)*s for every k >= 2; r is then returned to
+    tau = min(prec, P_0.prec - d).  Proof: complete q's hidden tails in
+    any way.  Then v(P_0) >= d + s, and every (k, v(P_k)) with k >= 2 lies
+    strictly above the line of slope -s through (1, d), so the polygon of
+    P starts with an edge from 0 to 1 of slope >= s and its other edges
+    have slopes < s: P has exactly one root z with v(z) >= s.  A leaf's
+    P_0 is zero at precision or its edge has slope >= prec, so s >= tau
+    and r + z agrees with r below tau.  Two branches split on an edge of
+    slope mu < s of a polygon they share, which also shows in each
+    branch's P, so their discs v(z) >= s are disjoint and their roots
+    distinct.  A branch that is not certified is refused as not
+    squarefree at the working precision.
     """
     if branch_count is not None and branch_count < 0:
         raise PreconditionError(f"branch count must be nonnegative, got {branch_count}")
@@ -375,16 +349,25 @@ def newton_puiseux(
         raise PrecisionError("leading coefficient is zero at the working precision")
     budget = [max_steps]
 
+    def certify(poly):
+        """The root's precision from its shifted polynomial, or None."""
+        p0, p1, *rest = poly.coeffs
+        if not p1.terms:
+            return None
+        d = p1.terms[0][0]
+        s = p0.v_floor() - d
+        for k, pk in enumerate(rest, 2):
+            if not pk.v_floor() > d - s.scale(k - 1):
+                return None
+        return min(prec, p0.prec - d)
+
     def expand(poly, mu_lower):
         if budget[0] <= 0:
             raise PrecisionError("expansion step budget exhausted")
         budget[0] -= 1
         coeffs = poly.coeffs
         out = []
-        zero_tail = False
-        if not coeffs or coeffs[0].is_zero_at_prec():
-            out.append({})
-            zero_tail = True
+        leaf = coeffs[0].is_zero_at_prec()
         points = [
             (i, cf.terms[0][0]) for i, cf in enumerate(coeffs) if cf.terms
         ]
@@ -393,10 +376,7 @@ def newton_puiseux(
             if mu_lower is not None and not mu > mu_lower:
                 continue
             if not mu < prec:
-                # the root continues below the precision bound
-                if not zero_tail:
-                    out.append({})
-                    zero_tail = True
+                leaf = True  # the root continues below the precision bound
                 continue
             v1 = values[i1]
             psi = []
@@ -408,15 +388,19 @@ def newton_puiseux(
                 psi.append(cf.terms[0][1] if on_edge else Coefficient.zero())
             for c in _initial_form_roots(psi):
                 shifted = _shift_poly(poly, c, mu)
-                for tail in expand(shifted, mu):
-                    root = dict(tail)
-                    root[mu] = c
-                    out.append(root)
+                for tail, tau in expand(shifted, mu):
+                    out.append(({**tail, mu: c}, tau))
+        if leaf:
+            out.append(({}, certify(poly)))
         return out
 
-    data = expand(q, None)  # the polygon's cheap refusals come first
-    _check_squarefree(q)
-    roots = [TruncatedSeries(d, prec) for d in data]
+    # refused only after the polygon, so its refusals come first
+    data = expand(q, None)
+    if any(tau is None for _, tau in data):
+        raise PreconditionError(
+            "polynomial is not squarefree at the working precision"
+        )
+    roots = [TruncatedSeries(d, tau) for d, tau in data]
     roots.sort(key=lambda s: [(e.coords, str(c)) for e, c in s.terms])
     if branch_count is not None:
         roots = roots[:branch_count]

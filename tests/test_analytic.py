@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import comb, factorial
 
@@ -26,7 +27,6 @@ from hahnseries.analytic import (
     unit_pow,
     verify_root,
 )
-import hahnseries.analytic as analytic_mod
 from hahnseries.parsing import parse_expression
 
 a1 = Coefficient.alpha(1)
@@ -464,8 +464,6 @@ def test_track_denominators_containment():
 def test_track_denominators_large_prime_in_bounded_time(monkeypatch):
     # the root's denominators carry p^k: only the input denominators and the
     # residue of Q'(r) are factored, never p^k itself
-    import time
-
     import hahnseries.analytic as analytic
 
     p = 100000007
@@ -563,125 +561,62 @@ def test_puiseux_non_squarefree():
         newton_puiseux(q, 5)
 
 
-def test_puiseux_polygon_refuses_before_the_resultant(monkeypatch):
-    calls = []
-    real = analytic_mod._resultant
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(analytic_mod, "_resultant", counting)
+def test_puiseux_polygon_refusals_come_before_the_separation_refusal():
     t = t_mono(6)
     y = one(6)
     # (y^3 - t)*(y - 1) = y^4 - y^3 - t*y + t
     q = SeriesPolynomial([t, -t, TruncatedSeries.zero(6), -y, y])
     with pytest.raises(PreconditionError, match="degree 3 exceeds the quadratic solver"):
         newton_puiseux(q, 4)
-    assert calls == []
-    # an input the polygon accepts still runs the squarefree check
-    q = SeriesPolynomial([t * t, -t.scalar_mul(2), y])
-    with pytest.raises(PreconditionError, match="squarefree"):
-        newton_puiseux(q, 5)
-    assert len(calls) == 1
+    # the double root t is reached first, yet the cubic's refusal wins
+    q = parse_expression("(y - t)^2*(y^3 - 2)", default_prec=6)
+    with pytest.raises(PreconditionError, match="degree 3 exceeds the quadratic solver"):
+        newton_puiseux(q, 6)
 
 
-def _reference_resultant(a: SeriesPolynomial, b: SeriesPolynomial) -> TruncatedSeries:
-    """Sylvester resultant with series entries, by cofactor expansion."""
-    m, n = a.degree, b.degree
-    size = m + n
-    # absent Sylvester entries are exact zeros; give them a precision so
-    # large that they never bound the precision of any cofactor product
-    span = Fraction(1)
-    for cf in (*a.coeffs, *b.coeffs):
-        span += abs(cf.prec.coords[0]) + abs(cf.v_floor().coords[0])
-    zero = TruncatedSeries.zero(span * size)
-    rows = []
-    for sh in range(n):
-        row = [zero] * size
-        for k, cf in enumerate(a.coeffs):
-            row[sh + (m - k)] = cf
-        rows.append(row)
-    for sh in range(m):
-        row = [zero] * size
-        for k, cf in enumerate(b.coeffs):
-            row[sh + (n - k)] = cf
-        rows.append(row)
-
-    def det(mat):
-        k = len(mat)
-        if k == 1:
-            return mat[0][0]
-        acc = None
-        for i in range(k):
-            entry = mat[i][0]
-            if not entry.terms:
-                continue
-            minor = [row[1:] for j, row in enumerate(mat) if j != i]
-            term = entry * det(minor)
-            if i % 2:
-                term = -term
-            acc = term if acc is None else acc + term
-        return acc if acc is not None else zero
-
-    return det(rows)
+@pytest.mark.parametrize(
+    "text, parse_prec, prec, expected",
+    [
+        # the constant coefficient is known to t^6 only
+        ("y + t + 1/2*t^4", 6, 7, ["-t - 1/2*t^4 + O(t^6)"]),
+        ("(y - t)*(y - t - t^2)", 4, 4, ["t + O(t^3)", "t + t^2 + O(t^3)"]),
+        ("y^2 - t", 5, 5, ["-t^(1/2) + O(t^(9/2))", "t^(1/2) + O(t^(9/2))"]),
+        # t*r^2 with v(r) = -1 is known to t^3
+        ("t*y^2 - y + 1", 5, 5,
+         ["1 + t + 2*t^2 + 5*t^3 + 14*t^4 + O(t^5)", "t^(-1) - 1 - t - 2*t^2 + O(t^3)"]),
+        ("(y - 1)*(y - 1 - t^3)", 7, 7, ["1 + O(t^4)", "1 + t^3 + O(t^4)"]),
+    ],
+)
+def test_puiseux_roots_carry_the_precision_their_coefficients_determine(
+    text, parse_prec, prec, expected
+):
+    roots = newton_puiseux(parse_expression(text, default_prec=parse_prec), prec)
+    assert sorted(str(r) for r in roots) == expected
 
 
-def _rand_resultant_input(rng):
-    """A random q of degree 2..5 over Q or Q(a1) with absent terms,
-    fractional exponents and coefficients that are zero at precision."""
-    degree = rng.choice((2, 2, 3, 3, 4, 5))
-    variables = (1,) if rng.random() < 0.4 else ()
-    prec = Fraction(rng.randint(2, 8), rng.choice((1, 2)))
-    coeffs = []
-    for _ in range(degree + 1):
-        draw = rng.random()
-        if draw < 0.2:
-            coeffs.append(TruncatedSeries.zero(prec))  # an absent term
-        elif draw < 0.3:
-            coeffs.append(TruncatedSeries.zero(rng.randint(1, 3)))  # a lower O(t^k)
-        else:
-            coeffs.append(rand_series(rng, prec=prec, terms=2, lo=-1, hi=4,
-                                      variables=variables, nonzero=True))
-    if rng.random() < 0.8:
-        coeffs[-1] = rand_series(rng, prec=prec, terms=2, lo=0, hi=2, nonzero=True)
-    return SeriesPolynomial(coeffs)
+@pytest.mark.parametrize(
+    "text",
+    [
+        # a tail of 1/4*t^6 on the constant merges the roots 1 and 1 + t^3
+        "(y - 1)*(y - 1 - t^3)",
+        # the completion y^2 + t^2*y - t^4 has the roots t^2*(-1 +- sqrt(5))/2
+        "y^2 + O(t^2)*y - t^4",
+    ],
+)
+def test_puiseux_refuses_roots_it_cannot_separate(text):
+    with pytest.raises(PreconditionError, match="not squarefree"):
+        newton_puiseux(parse_expression(text, default_prec=6), 6)
 
 
-def test_resultant_matches_the_cofactor_reference():
-    rng = random.Random(2207)
-    for _ in range(300):
-        q = _rand_resultant_input(rng)
-        dq = q.derivative()
-        new, old = analytic_mod._resultant(q, dq), _reference_resultant(q, dq)
-        assert (new is None or not new.terms) == (not old.terms), str(q)
-        if old.terms:
-            assert (str(new), new.prec) == (str(old), old.prec), str(q)
-
-
-def test_squarefree_check_expands_each_minor_once(monkeypatch):
-    calls = [0]
-    real = TruncatedSeries.__mul__
-
-    def counting(self, other):
-        calls[0] += 1
-        return real(self, other)
-
-    q = parse_expression(
-        "(y - t)*(y - 2*t)*(y - t^2)*(y - 1)*(y - 2)*(y - 2*t^2)", default_prec=6
-    )
-    monkeypatch.setattr(TruncatedSeries, "__mul__", counting)
-    analytic_mod._check_squarefree(q)
-    assert 0 < calls[0] <= 2_000
-
-
-def test_squarefree_check_through_degree_8():
-    # the double root at degree 7 is refused in tests/test_cli.py
-    eight = "(y - t)*(y - 2*t)*(y - t^2)*(y - 1)*(y - 2)*(y - 2*t^2)*(y - t^3)*(y - 2*t^3)"
-    assert len(newton_puiseux(parse_expression(eight, default_prec=6), 6)) == 8
-    nine = parse_expression(eight + "*(y - t^4)", default_prec=6)
-    with pytest.raises(PreconditionError, match="limited to degree 8"):
-        newton_puiseux(nine, 6)
+def test_puiseux_answers_degree_9_and_10():
+    nine = "(y - t)*(y - 2*t)*(y - t^2)*(y - 1)*(y - 2)*(y - 2*t^2)*(y - t^3)*(y - 2*t^3)*(y - t^4)"
+    ten = "(y-1)*(y-2)*(y-t)*(y-2*t)*(y-t^2)*(y-2*t^2)*(y-t^3)*(y-2*t^3)*(y-t^4)*(y-2*t^4)"
+    for text, degree in ((nine, 9), (ten, 10)):
+        start = time.perf_counter()
+        roots = newton_puiseux(parse_expression(text, default_prec=6), 6)
+        assert time.perf_counter() - start < 1.0
+        assert len(roots) == degree
+        assert all(r.prec == as_exponent(6) and len(r.terms) == 1 for r in roots)
 
 
 def test_puiseux_refuses_a_leading_coefficient_zero_at_precision():

@@ -8,10 +8,14 @@ correct no matter what the truncation hid.
 
 import random
 from fractions import Fraction
+from itertools import permutations
+
+import pytest
 
 from conftest import rand_eps, rand_series
-from hahnseries.analytic import OneUnit, exp, hensel_lift, log, unit_pow
+from hahnseries.analytic import OneUnit, exp, hensel_lift, log, newton_puiseux, unit_pow
 from hahnseries.coeffs import Coefficient
+from hahnseries.errors import HahnSeriesError
 from hahnseries.exponents import Exponent
 from hahnseries.series import SeriesPolynomial, TruncatedSeries, eval_poly
 
@@ -177,3 +181,50 @@ def test_hensel_from_an_exact_root_precision_sound():
             q_full = SeriesPolynomial([-with_tail(rng, base), zero, one])
             root_full = hensel_lift(q_full, r)
             assert agree_below(root_full, root_cut, root_cut.prec)
+
+
+def planted_puiseux_input(rng):
+    """lead * (y - r_1)...(y - r_n) for 1..3 planted roots with fractional
+    exponents, lead 1 or t, each coefficient known to t^P, some lowered
+    to O(t^k) with k <= P; and a solve precision P..P+2."""
+    prec = rng.randint(3, 6)
+    zero = TruncatedSeries.zero(HIGH)
+    q = [TruncatedSeries({rng.choice((0, 0, 1)): 1}, HIGH)]  # constant first
+    for _ in range(rng.randint(1, 3)):
+        r = TruncatedSeries(
+            {
+                Fraction(rng.randint(0, 6), rng.choice((1, 2))): rng.choice((-3, -2, -1, 1, 2, 3))
+                for _ in range(rng.randint(1, 2))
+            },
+            HIGH,
+        )
+        q = [(q[i - 1] if i else zero) - (r * q[i] if i < len(q) else zero)
+             for i in range(len(q) + 1)]
+    coeffs = [
+        c.truncate(rng.randint(1, prec) if rng.random() < 0.15 else prec) for c in q
+    ]
+    return SeriesPolynomial(coeffs), prec + rng.randint(0, 2)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_puiseux_precision_sound(seed):
+    # every accepted root is matched one-to-one, below its stated prec, by
+    # the roots of three completions of the input's hidden tails
+    rng = random.Random(seed)
+    accepted = 0
+    for _ in range(200):
+        q, prec = planted_puiseux_input(rng)
+        try:
+            roots = newton_puiseux(q, prec)
+        except HahnSeriesError:
+            continue
+        accepted += 1
+        for _ in range(3):
+            # every tail term lies below t^(P + 4): the cut keeps the solve cheap
+            full = SeriesPolynomial([with_tail(rng, c).truncate(prec + 4) for c in q.coeffs])
+            others = newton_puiseux(full, prec)
+            assert any(
+                all(o.prec >= r.prec and agree_below(o, r, r.prec) for r, o in zip(roots, match))
+                for match in permutations(others, len(roots))
+            ), (str(q), [str(r) for r in roots], [str(o) for o in others])
+    assert accepted >= 100
