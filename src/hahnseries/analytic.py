@@ -335,8 +335,9 @@ def newton_puiseux(
     and r + z agrees with r below tau.  Two branches split on an edge of
     slope mu < s of a polygon they share, which also shows in each
     branch's P, so their discs v(z) >= s are disjoint and their roots
-    distinct.  A branch that is not certified is refused as not
-    squarefree at the working precision.
+    distinct.  A branch that is not certified is refused: its roots are
+    not separated at the working precision, as the polynomial is not
+    squarefree or its known coefficients do not determine the roots.
     """
     if branch_count is not None and branch_count < 0:
         raise PreconditionError(f"branch count must be nonnegative, got {branch_count}")
@@ -398,7 +399,8 @@ def newton_puiseux(
     data = expand(q, None)
     if any(tau is None for _, tau in data):
         raise PreconditionError(
-            "polynomial is not squarefree at the working precision"
+            "roots not separated at the working precision: the polynomial is not"
+            " squarefree, or its known coefficients do not determine the roots"
         )
     roots = [TruncatedSeries(d, tau) for d, tau in data]
     roots.sort(key=lambda s: [(e.coords, str(c)) for e, c in s.terms])

@@ -180,6 +180,8 @@ class Coefficient:
         return Coefficient(-self.num, self.den, _canonical=True)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
         other = as_coefficient(other)
         a = self._value()
         if a is not None:

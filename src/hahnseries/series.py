@@ -10,6 +10,9 @@ records.  All ring operations attach the weakest correct precision.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from fractions import Fraction
+from math import lcm
 from operator import add, sub
 
 from .coeffs import INFINITE, Coefficient, Place, apply_place, as_coefficient
@@ -70,6 +73,16 @@ class TruncatedSeries:
         self.terms = tuple(kept)
         self.prec = prec
 
+    @classmethod
+    def _of(cls, terms, prec) -> "TruncatedSeries":
+        """A series on trusted input, as Exponent._of is for exponents: terms
+        a tuple of (Exponent, nonzero Coefficient) pairs, strictly
+        increasing and below the Exponent prec."""
+        s = object.__new__(cls)
+        s.terms = terms
+        s.prec = prec
+        return s
+
     @property
     def rank(self) -> int:
         return self.prec.rank
@@ -113,17 +126,27 @@ class TruncatedSeries:
         return not self.terms
 
     def truncate(self, prec) -> "TruncatedSeries":
-        prec = as_exponent(prec, self.rank)
-        return TruncatedSeries(self.terms, min(prec, self.prec))
+        prec = min(as_exponent(prec, self.rank), self.prec)
+        return TruncatedSeries._of(_below(self.terms, prec), prec)
 
     def __add__(self, other):
+        """Merges the two increasing term lists, cut at the lesser prec."""
         other = self._coerce(other)
         prec = min(self.prec, other.prec)
-        merged = dict(self.terms)
-        for e, c in other.terms:
-            s = merged.get(e)
-            merged[e] = c if s is None else s + c
-        return TruncatedSeries(merged, prec)
+        a, b = _below(self.terms, prec), _below(other.terms, prec)
+        out, i, j = [], 0, 0
+        while i < len(a) and j < len(b):
+            (e, c), (f, d) = a[i], b[j]
+            lower = e.coords < f.coords
+            if lower or f.coords < e.coords:
+                out.append(a[i] if lower else b[j])
+                i, j = i + lower, j + (not lower)
+            else:
+                s = c + d
+                if not s.is_zero():
+                    out.append((e, s))
+                i, j = i + 1, j + 1
+        return TruncatedSeries._of(tuple(out) + a[i:] + b[j:], prec)
 
     __radd__ = __add__
 
@@ -134,9 +157,7 @@ class TruncatedSeries:
         return self._coerce(other) + (-self)
 
     def __neg__(self):
-        out = TruncatedSeries.zero(self.prec)
-        out.terms = tuple((e, -c) for e, c in self.terms)
-        return out
+        return TruncatedSeries._of(tuple((e, -c) for e, c in self.terms), self.prec)
 
     def scalar_mul(self, c) -> "TruncatedSeries":
         """Multiply by an exact coefficient; precision is unchanged."""
@@ -145,13 +166,9 @@ class TruncatedSeries:
             return self
         if c.is_zero():
             return TruncatedSeries.zero(self.prec)
-        out = TruncatedSeries.zero(self.prec)
-        if c.is_const():  # a rational keeps each term canonical: no gcd
-            q = c.as_fraction()
-            out.terms = tuple((e, k.scale(q)) for e, k in self.terms)
-        else:
-            out.terms = tuple((e, k * c) for e, k in self.terms)
-        return out
+        q = c._value()
+        scalar = c if q is None else q  # a rational scales each term: no gcd
+        return TruncatedSeries._of(tuple((e, k * scalar) for e, k in self.terms), self.prec)
 
     def shift_scale(self, c, e) -> "TruncatedSeries":
         """Multiply by the exact monomial c * t^e (c != 0); lossless."""
@@ -159,9 +176,9 @@ class TruncatedSeries:
         if c.is_zero():
             raise ValueError("shift_scale requires a nonzero coefficient")
         e = as_exponent(e, self.rank)
-        return TruncatedSeries(
-            [(g + e, k * c) for g, k in self.terms], self.prec + e
-        )
+        d = e.coords
+        shifted = ((Exponent._of(tuple(map(add, g.coords, d))), k * c) for g, k in self.terms)
+        return TruncatedSeries._of(tuple(shifted), self.prec + e)
 
     def _coerce(self, other) -> "TruncatedSeries":
         if isinstance(other, TruncatedSeries):
@@ -181,15 +198,14 @@ class TruncatedSeries:
         when e2 < prec - e1.  Both term lists increase strictly: the first
         e2 at or past prec - e1 ends the row, as every later e2 is cut too,
         and a row whose first pair is cut ends the product, as every later
-        e1 is larger.  Exponents are added as coords tuples.
+        e1 is larger.  Exponents are added as integer index tuples on the
+        common grid of both factors and prec (see _lift).
         """
         other = self._coerce(other)
         prec = min(self.prec + other.v_floor(), other.prec + self.v_floor())
-        cut = prec.coords
-        rhs = [(e.coords, c) for e, c in other.terms]
+        grid, plain, cut, (lhs, rhs) = _lift(prec, self, other)
         out = {}
-        for e1, c1 in self.terms:
-            a = e1.coords
+        for a, c1 in lhs:
             room = tuple(map(sub, cut, a))
             if not rhs or not rhs[0][0] < room:
                 break
@@ -199,11 +215,7 @@ class TruncatedSeries:
                 e = tuple(map(add, a, b))
                 s = out.get(e)
                 out[e] = c1 * c2 if s is None else s + c1 * c2
-        result = TruncatedSeries.zero(prec)
-        result.terms = tuple(
-            (Exponent._of(e), out[e]) for e in sorted(out) if not out[e].is_zero()
-        )
-        return result
+        return _drop(out, grid, plain, prec)
 
     __rmul__ = __mul__
 
@@ -261,9 +273,7 @@ class TruncatedSeries:
         """Equality to the shared precision min(prec, other.prec)."""
         other = self._coerce(other)
         p = min(self.prec, other.prec)
-        mine = tuple((e, c) for e, c in self.terms if e < p)
-        theirs = tuple((e, c) for e, c in other.terms if e < p)
-        return mine == theirs
+        return _below(self.terms, p) == _below(other.terms, p)
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -409,7 +419,8 @@ def first_order(x: TruncatedSeries, lam, q, mu) -> TruncatedSeries:
     increasing order.  That set is finite exactly when some integer
     multiple of the valuation reaches the precision; at rank > 1 it may
     not, and the call refuses.  Every e of the set has the zero prefix of
-    v_min(x) before j, so e_j >= v_j > 0.
+    v_min(x) before j, so e_j >= v_j > 0.  The recurrence runs unchanged
+    on index tuples of the grid 1/L (see _lift): L scales e_j and weights.
     """
     zero = x.prec.scale(0)
     if not x.prec > zero:
@@ -420,37 +431,35 @@ def first_order(x: TruncatedSeries, lam, q, mu) -> TruncatedSeries:
         raise PrecisionError(
             "precision unreachable by integer multiples of the valuation"
         )
-    xs = {e.coords: c for e, c in x.terms}
-    support = _monoid_below(xs, zero.coords, x.prec.coords)
-    g = {zero.coords: Coefficient.const(1 - mu)} if mu != 1 else {}
+    grid, plain, cut, (xs,) = _lift(x.prec, x)
+    support = _monoid_below([b for b, _ in xs], (0,) * x.rank, cut)
+    one = Fraction(1) if plain else Coefficient.one()
+    g = {support[0]: one * (1 - mu)} if mu != 1 else {}
+    xe = dict(xs)
     j = x.v_floor().arch_class() - 1
     for e in support[1:]:
         ej = e[j]
-        parts = [xs[e].scale(mu)] if mu and e in xs else []
-        for b, xb in xs.items():
+        acc = xe[e] * (mu * ej) if mu and e in xe else None
+        for b, xb in xs:
             if b > e:
                 break
-            d = tuple(map(sub, e, b))
-            gd = g.get(d)
+            gd = g.get(tuple(map(sub, e, b)))
             if gd is None:
                 continue
-            w = q * b[j] - lam * d[j]
+            w = q * b[j] - lam * (ej - b[j])
             if w:
-                parts.append((xb * gd).scale(w / ej))
-        if parts:
-            ge = sum(parts[1:], parts[0])
-            if not ge.is_zero():
-                g[e] = ge
-    out = TruncatedSeries.zero(x.prec)
-    out.terms = tuple((Exponent._of(e), g[e]) for e in support if e in g)
-    return out
+                p = xb * gd * w
+                acc = p if acc is None else acc + p
+        if acc is not None and (acc if plain else not acc.is_zero()):
+            g[e] = acc * Fraction(1, ej)
+    return _drop(g, grid, plain, x.prec)
 
 
 def _monoid_below(gens, zero, prec):
     """0 and the sums of elements of gens below prec, in increasing order.
 
-    gens are positive coords tuples in increasing order; the set must be
-    finite (the caller checks with reach_count).
+    gens are positive index tuples in increasing order, on the grid of zero
+    and prec; the set must be finite (the caller checks with reach_count).
     """
     seen = {zero}
     frontier = [zero]
@@ -466,3 +475,38 @@ def _monoid_below(gens, zero, prec):
                     new.append(e)
         frontier = new
     return sorted(seen)
+
+
+def _below(terms, prec):
+    """The terms below prec: a prefix, as terms increase."""
+    return terms[: bisect_left(terms, prec.coords, key=lambda t: t[0].coords)]
+
+
+def _indices(e, grid):
+    """The integer index tuple of e on the grid 1/grid."""
+    return tuple(q.numerator * (grid // q.denominator) for q in e.coords)
+
+
+def _lift(prec, *series):
+    """The kernels' entry: the least grid 1/L holding prec and every exponent
+    of series, whether every coefficient is rational, prec's index tuple, and
+    each series' terms as (index tuple, Fraction if so, else Coefficient)."""
+    exps = [prec] + [e for f in series for e, _ in f.terms]
+    grid = lcm(*{q.denominator for e in exps for q in e.coords})
+    values = [[c._value() for _, c in f.terms] for f in series]
+    plain = all(None not in v for v in values)
+    lifted = [[(_indices(e, grid), v if plain else c) for (e, c), v in zip(f.terms, vs)]
+              for f, vs in zip(series, values)]
+    return grid, plain, _indices(prec, grid), lifted
+
+
+def _drop(out, grid, plain, prec):
+    """The kernels' exit: the nonzero values of out, a dict from index
+    tuples, as a series, each term wrapped once."""
+    terms = tuple(
+        (Exponent._of(tuple(Fraction(k, grid) for k in e)),
+         Coefficient.const(c) if plain else c)
+        for e, c in sorted(out.items())
+        if (c if plain else not c.is_zero())
+    )
+    return TruncatedSeries._of(terms, prec)

@@ -78,6 +78,78 @@ def test_add_disjoint_supports_canonicalizes_nothing(monkeypatch):
     assert total == ts({**dict(left.terms), **dict(right.terms)}, 5)
 
 
+# The dict-based sum that the merge replaced, kept as an oracle: every term
+# goes through the validating constructor, which sorts and cuts at prec.
+
+
+def _dict_sum(f, g):
+    g = f._coerce(g)
+    prec = min(f.prec, g.prec)
+    merged = dict(f.terms)
+    for e, c in g.terms:
+        s = merged.get(e)
+        merged[e] = c if s is None else s + c
+    return TruncatedSeries(merged, prec)
+
+
+def sum_cases(rng):
+    """Seeded summand pairs: overlapping supports, sums that cancel, a prec
+    that cuts terms, rank 2, Q(a1) coefficients and scalar operands."""
+    rational = lambda r: Fraction(r.randint(-9, 9) or 1, r.randint(1, 6))  # noqa: E731
+    symbolic = lambda r: rand_coeff(r, (1,), max_deg=1)  # noqa: E731
+    cases = []
+    for k in range(300):
+        coeff = symbolic if k % 4 == 3 else rational
+        kind = k % 5
+        if kind == 0:  # overlapping supports on mixed grids
+            f, g = (_dense(rng, rng.choice((1, 2, 3)), rng.randint(-3, 2), rng.randint(1, 9),
+                           Fraction(rng.randint(2, 16), 2), coeff) for _ in range(2))
+        elif kind == 1:  # g cancels some or all of f
+            f = _dense(rng, 2, rng.randint(-2, 2), rng.randint(1, 8), 6, coeff)
+            g = -f.truncate(Fraction(rng.randint(-2, 12), 2))
+            if rng.random() < 0.5:
+                g = g + ts({Fraction(rng.randint(-2, 10), 2): coeff(rng)}, 6)
+        elif kind == 2:  # one prec cuts the other's terms
+            f = _dense(rng, 3, -2, 12, 4, coeff)
+            g = _dense(rng, 2, rng.randint(-1, 3), rng.randint(0, 4), Fraction(rng.randint(-2, 6), 3), coeff)
+        elif kind == 3:  # rank 2
+            f, g = _rank2(rng, coeff), _rank2(rng, coeff)
+        else:  # a scalar operand, which the sum puts at exponent 0
+            f = _dense(rng, 2, rng.randint(-2, 1), rng.randint(0, 6), Fraction(rng.randint(-1, 8), 2), coeff)
+            g = rng.choice((coeff(rng), rng.randint(-2, 2), -f.coefficient(0)))
+        cases.append((f, g) if rng.random() < 0.5 or not isinstance(g, TruncatedSeries) else (g, f))
+    return cases
+
+
+def test_add_matches_dict_sum():
+    rng = random.Random(2718)
+    cancelled = cut = 0
+    for f, g in sum_cases(rng):
+        # a Coefficient on the left does not defer to the series
+        for got in (f + g, g + f) if not isinstance(g, Coefficient) else (f + g,):
+            want = _dict_sum(f, g)
+            assert got.terms == want.terms and got.prec == want.prec, (str(f), str(g))
+        got = f - g
+        want = _dict_sum(f, -f._coerce(g))
+        assert got.terms == want.terms and got.prec == want.prec, (str(f), str(g))
+        g = f._coerce(g)
+        cancelled += len(f.terms) + len(g.terms) > 0 and not _dict_sum(f, g).terms
+        cut += any(not e < f.prec for e, _ in g.terms) or any(not e < g.prec for e, _ in f.terms)
+    assert cancelled > 20 and cut > 50
+
+
+def test_truncate_matches_the_constructor():
+    rng = random.Random(3141)
+    for f, g in sum_cases(rng):
+        for h in (f, f._coerce(g)):
+            pad = (Fraction(0),) * (h.rank - 1)
+            cuts = [as_exponent((Fraction(rng.randint(-6, 18), 3),) + pad), h.prec, h.prec + h.prec]
+            cuts += [e for e, _ in h.terms[:2]]  # a cut at a stored exponent drops it
+            for p in cuts:
+                got, want = h.truncate(p), TruncatedSeries(h.terms, min(p, h.prec))
+                assert got.terms == want.terms and got.prec == want.prec
+
+
 def test_precision_propagation():
     f = ts({0: 1, 1: 1}, 2)
     g = ts({0: 1}, 1)
@@ -422,6 +494,10 @@ def outcome(fn):
     return out.series if isinstance(out, OneUnit) else out
 
 
+def _all_rational(f):
+    return all(c.is_const() for _, c in f.terms)
+
+
 POW_EXPONENTS = [Fraction(n, d) for n, d in ((2, 1), (3, 1), (-1, 1), (-6, 1), (1, 3), (-5, 2))]
 
 
@@ -473,6 +549,13 @@ def oracle_cases(rng):
         TruncatedSeries({}, 0),
         TruncatedSeries({Fraction(-1): 2}, Fraction(-1, 2)),
     ]
+    # constant and Q(a1) coefficients in one argument
+    for k in range(24):
+        den = (1, 2)[k % 2]
+        data = {Fraction(rng.randint(1, 3 * den), den): Fraction(rng.randint(1, 5), rng.choice((1, 2)))
+                for _ in range(rng.randint(1, 3))}
+        data[Fraction(rng.randint(1, 3 * den), den)] = rand_coeff(rng, (1,), max_deg=1)
+        cases.append(TruncatedSeries(data, Fraction(rng.randint(2, 4 * den), den)))
     return cases
 
 
@@ -480,7 +563,7 @@ def test_first_order_matches_power_sums():
     rng = random.Random(1729)
     cases = oracle_cases(rng)
     assert len(cases) >= 300
-    refusals = 0
+    refusals = mixed = 0
     for x in cases:
         q = rng.choice(POW_EXPONENTS)
         pairs = [
@@ -501,7 +584,11 @@ def test_first_order_matches_power_sums():
             got, want = outcome(kernel), outcome(oracle)
             assert got == want, (str(x), q)
             refusals += isinstance(want, tuple)
+            if isinstance(got, TruncatedSeries):
+                assert all(type(c) is Fraction for e, _ in got.terms for c in e.coords)
+                mixed += not _all_rational(x) and any(c.is_const() for _, c in x.terms)
     assert refusals > 100
+    assert mixed > 40
 
 
 # The product's full double loop, before it stopped at the cut, kept as an
@@ -572,6 +659,14 @@ def product_cases(rng):
         f = _dense(rng, 2, -1, 8, Fraction(7, 2), rational)
         g = _dense(rng, 3, 1, 8, Fraction(rng.randint(3, 12), 3), rational)
         cases.append((f, g))
+    # constant and symbolic coefficients in one factor, beside a Q factor
+    # or another mixed one, on either side
+    mixed = lambda r: symbolic(r) if r.random() < 0.3 else rational(r)  # noqa: E731
+    for k in range(60):
+        f = _dense(rng, rng.choice((1, 2)), rng.randint(-2, 1), rng.randint(2, 8), 5, mixed)
+        g = _dense(rng, rng.choice((1, 3)), rng.randint(-1, 2), rng.randint(1, 8), 6,
+                   rational if k % 3 else mixed)
+        cases.append((f, g) if k % 2 else (g, f))
     return cases
 
 
@@ -591,3 +686,5 @@ def test_product_matches_full_double_loop():
         nonzero += bool(got.terms)
     assert min(decided.values()) > 50
     assert nonzero > 250
+    kinds = {(_all_rational(f), _all_rational(g)) for f, g in cases if isinstance(g, TruncatedSeries)}
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
