@@ -33,7 +33,6 @@ _EXPORTS = {
         "Place",
         "apply_place",
         "finite_place_for",
-        "variables_of",
     ),
     "errors": (
         "DependenceError",
@@ -47,10 +46,7 @@ _EXPORTS = {
     ),
     "exponents": (
         "Exponent",
-        "GroupSpec",
-        "arch_class",
         "as_exponent",
-        "compare",
         "reach_count",
     ),
     "parsing": ("parse_expression",),
@@ -60,10 +56,7 @@ _EXPORTS = {
         "TruncatedSeries",
         "eval_poly",
         "phi_P",
-        "residue",
         "specialize_poly",
-        "split_neg",
-        "v_min",
     ),
     "valuation_spaces": (
         "BasisFamily",

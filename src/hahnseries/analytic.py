@@ -43,6 +43,9 @@ __all__ = [
     "verify_root",
 ]
 
+HENSEL_STEPS = 10_000  # Newton steps of hensel_lift
+PUISEUX_STEPS = 2_000  # nodes of newton_puiseux's tree, one per root term
+
 
 class OneUnit:
     """A series 1 + delta with v_min(delta) > 0: a multiplicative 1-unit."""
@@ -124,12 +127,7 @@ def unit_pow(u: OneUnit, q) -> OneUnit:
     return OneUnit(first_order(u.delta(), 1, q, 0))
 
 
-def hensel_lift(
-    q: SeriesPolynomial,
-    r: TruncatedSeries,
-    max_steps: int = 10_000,
-    with_trace: bool = False,
-):
+def hensel_lift(q: SeriesPolynomial, r: TruncatedSeries, with_trace: bool = False):
     """Refine r to a root of q, assuming v(q(r)) > 0 and v(q'(r)) = 0.
 
     Newton's iteration x -> x - q(x)/q'(x) until the residual vanishes at
@@ -139,7 +137,9 @@ def hensel_lift(
     valuation doubles, and a root to precision tau takes about
     log2(tau/m) residuals instead of one per term.  The root is known to
     the least residual precision.  Returns the root, or (root, residual
-    trace) when with_trace is set.
+    trace) when with_trace is set.  More than HENSEL_STEPS steps raise
+    PrecisionError: a polynomial outside the valuation ring may converge
+    without doubling.
     """
     zero = r.prec.scale(0)
     dq = q.derivative()
@@ -162,8 +162,8 @@ def hensel_lift(
     trace = [res.v_min()]
     steps = 0
     while res.terms:
-        if steps >= max_steps:
-            raise PrecisionError(f"no convergence within {max_steps} steps")
+        if steps >= HENSEL_STEPS:
+            raise PrecisionError(f"no convergence within {HENSEL_STEPS} steps")
         m = res.terms[0][0]
         cut = min(res.prec, m + m)
         if steps:
@@ -248,7 +248,7 @@ def _lower_hull(points):
         while len(hull) >= 2:
             (x1, y1), (x2, y2) = hull[-2], hull[-1]
             # keep turn strictly convex; drop points above or on the chord
-            if (x2 - x1) * (p[1] - y1) <= (p[0] - x1) * (y2 - y1):
+            if (p[1] - y1).scale(x2 - x1) <= (y2 - y1).scale(p[0] - x1):
                 hull.pop()
             else:
                 break
@@ -309,12 +309,7 @@ def _shift_poly(q: SeriesPolynomial, c: Coefficient, mu: Exponent):
     return SeriesPolynomial(a)
 
 
-def newton_puiseux(
-    q: SeriesPolynomial,
-    prec,
-    branch_count=None,
-    max_steps: int = 2_000,
-):
+def newton_puiseux(q: SeriesPolynomial, prec, branch_count=None):
     """Fractional-exponent series roots of q via the Newton polygon, each
     known to the precision that q's coefficients determine.
 
@@ -338,6 +333,8 @@ def newton_puiseux(
     distinct.  A branch that is not certified is refused: its roots are
     not separated at the working precision, as the polynomial is not
     squarefree or its known coefficients do not determine the roots.
+    An expansion of more than PUISEUX_STEPS nodes, one per root term,
+    raises PrecisionError.
     """
     if branch_count is not None and branch_count < 0:
         raise PreconditionError(f"branch count must be nonnegative, got {branch_count}")
@@ -348,7 +345,6 @@ def newton_puiseux(
         raise PreconditionError("polynomial must have positive degree")
     if q.coeffs[-1].is_zero_at_prec():
         raise PrecisionError("leading coefficient is zero at the working precision")
-    budget = [max_steps]
 
     def certify(poly):
         """The root's precision from its shifted polynomial, or None."""
@@ -362,12 +358,14 @@ def newton_puiseux(
                 return None
         return min(prec, p0.prec - d)
 
-    def expand(poly, mu_lower):
-        if budget[0] <= 0:
+    def expand(poly, mu_lower, head):
+        """Yields the arguments of the node's children in turn; a node that
+        ends a branch then adds its (root terms, tau), after its children's."""
+        nonlocal nodes
+        nodes += 1
+        if nodes > PUISEUX_STEPS:
             raise PrecisionError("expansion step budget exhausted")
-        budget[0] -= 1
         coeffs = poly.coeffs
-        out = []
         leaf = coeffs[0].is_zero_at_prec()
         points = [
             (i, cf.terms[0][0]) for i, cf in enumerate(coeffs) if cf.terms
@@ -388,15 +386,22 @@ def newton_puiseux(
                 )
                 psi.append(cf.terms[0][1] if on_edge else Coefficient.zero())
             for c in _initial_form_roots(psi):
-                shifted = _shift_poly(poly, c, mu)
-                for tail, tau in expand(shifted, mu):
-                    out.append(({**tail, mu: c}, tau))
+                yield _shift_poly(poly, c, mu), mu, {**head, mu: c}
         if leaf:
-            out.append(({}, certify(poly)))
-        return out
+            data.append((head, certify(poly)))
+
+    # depth first on a stack of generators rather than by recursion, as a
+    # branch is one node deeper per root term
+    data, nodes = [], 0
+    stack = [expand(q, None, {})]
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+        else:
+            stack.append(expand(*child))
 
     # refused only after the polygon, so its refusals come first
-    data = expand(q, None)
     if any(tau is None for _, tau in data):
         raise PreconditionError(
             "roots not separated at the working precision: the polynomial is not"

@@ -34,7 +34,6 @@ __all__ = [
     "INFINITE",
     "as_coefficient",
     "apply_place",
-    "variables_of",
     "finite_place_for",
     "default_candidates",
 ]
@@ -143,7 +142,9 @@ class Coefficient:
         is (a*d' + c*b')/(b'*d), and the only factor it can still share is
         gcd(a*d' + c*b', g).  Canonical forms are unique, so the sum is 0
         only when b == d."""
-        other = as_coefficient(other)
+        other = _operand(other)
+        if other is NotImplemented:
+            return other
         a = self._value()
         if a is not None:
             b = other._value()
@@ -171,18 +172,21 @@ class Coefficient:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-as_coefficient(other))
+        other = _operand(other)
+        return other if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other):
-        return as_coefficient(other) - self
+        other = _operand(other)
+        return other if other is NotImplemented else other - self
 
     def __neg__(self):
         return Coefficient(-self.num, self.den, _canonical=True)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        other = as_coefficient(other)
+        if not isinstance(other, Coefficient):
+            if isinstance(other, (int, Fraction)):
+                return self.scale(other)
+            return NotImplemented
         a = self._value()
         if a is not None:
             b = other._value()
@@ -197,7 +201,9 @@ class Coefficient:
     def __truediv__(self, other):
         """a/b over c/d is a/b times d/c, made canonical by scaling d and c
         by 1/lc(c) before the cross gcds."""
-        other = as_coefficient(other)
+        other = _operand(other)
+        if other is NotImplemented:
+            return other
         if other.is_zero():
             raise ZeroDivisionError("division by zero coefficient")
         a = self._value()
@@ -214,7 +220,8 @@ class Coefficient:
         return _cross(self.num, self.den, d, c)
 
     def __rtruediv__(self, other):
-        return as_coefficient(other) / self
+        other = _operand(other)
+        return other if other is NotImplemented else other / self
 
     def __pow__(self, n):
         """No gcd for n >= 0: powers of coprime polynomials stay coprime,
@@ -260,6 +267,16 @@ def _cross(a, b, c, d) -> Coefficient:
     return Coefficient(a * c, b * d, _canonical=True)
 
 
+def _operand(x):
+    """x as a Coefficient, or NotImplemented for a value outside the field,
+    so that Python tries the other operand's reflected method."""
+    if isinstance(x, Coefficient):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return Coefficient.const(x)
+    return NotImplemented
+
+
 def as_coefficient(x) -> Coefficient:
     if isinstance(x, Coefficient):
         return x
@@ -300,11 +317,6 @@ def apply_place(c: Coefficient, place: Place):
         return INFINITE
     num = c.num.subs_var(place.var, place.q)
     return Coefficient(num, den)
-
-
-def variables_of(c: Coefficient):
-    """Indices of the transcendentals occurring in the canonical form."""
-    return c.variables()
 
 
 def default_candidates():

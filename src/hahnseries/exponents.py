@@ -16,10 +16,7 @@ from .errors import RankMismatchError
 
 __all__ = [
     "Exponent",
-    "GroupSpec",
     "as_exponent",
-    "compare",
-    "arch_class",
     "reach_count",
 ]
 
@@ -64,10 +61,6 @@ class Exponent:
                 f"rank {len(self.coords)} vs rank {len(other.coords)}"
             )
 
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
     def arch_class(self):
         """1-based index of the first nonzero coordinate; None for 0."""
         for j, c in enumerate(self.coords):
@@ -89,11 +82,6 @@ class Exponent:
 
     def __neg__(self):
         return Exponent._of(tuple(map(neg, self.coords)))
-
-    def __mul__(self, q):
-        return self.scale(q)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, Exponent):
@@ -165,29 +153,6 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class GroupSpec(Record):
-    """Rank of the exponent group, fixed for the lifetime of a session."""
-
-    __slots__ = ("k",)
-
-    def __init__(self, k: int = 1):
-        if k < 1:
-            raise ValueError("rank must be a positive integer")
-        super().__init__(k)
-
-    def zero(self) -> Exponent:
-        return Exponent((Fraction(0),) * self.k)
-
-    def exponent(self, *coords) -> Exponent:
-        if len(coords) != self.k:
-            raise RankMismatchError(f"expected {self.k} coordinates, got {len(coords)}")
-        return Exponent(coords)
-
-    def unit(self) -> Exponent:
-        """The exponent of the series variable itself: (1, 0, ..., 0)."""
-        return Exponent((Fraction(1),) + (Fraction(0),) * (self.k - 1))
-
-
 def as_exponent(x, rank=None) -> Exponent:
     """Coerce a rational, tuple, or Exponent; check rank when given."""
     if isinstance(x, Exponent):
@@ -199,20 +164,6 @@ def as_exponent(x, rank=None) -> Exponent:
     if rank is not None and e.rank != rank:
         raise RankMismatchError(f"expected rank {rank}, got rank {e.rank}")
     return e
-
-
-def compare(g: Exponent, h: Exponent) -> int:
-    """Lexicographic comparison: -1, 0, or 1."""
-    g._check_rank(h)
-    if g.coords < h.coords:
-        return -1
-    if g.coords > h.coords:
-        return 1
-    return 0
-
-
-def arch_class(g: Exponent):
-    return g.arch_class()
 
 
 def reach_count(step: Exponent, target: Exponent):

@@ -22,7 +22,7 @@ from .errors import ParseError
 from .exponents import as_exponent
 from .series import SeriesPolynomial, TruncatedSeries
 
-__all__ = ["parse_expression", "format_value"]
+__all__ = ["parse_expression"]
 
 
 _OPS = set("+-*/^(),")
@@ -292,9 +292,12 @@ class _Parser:
                 return _PolyBuilder({0: Coefficient.one()})
             return TruncatedSeries.one(value.prec)
         # start from the base: a product with 1 would lose precision when
-        # v(base) < 0 and would give nothing when base.prec <= 0
+        # v(base) < 0 and would give nothing when base.prec <= 0.  A power
+        # of a polynomial in y, whose size grows with n, is multiplied out
+        if not isinstance(value, _PolyBuilder):
+            return _series_power(value, abs(n))
         out = value
-        for _ in range(abs(n) - 1):
+        for _ in range(n - 1):
             out = self.mul(out, value)
         return out
 
@@ -368,12 +371,17 @@ class _Parser:
         return Fraction(sign * numerator)
 
 
+def _series_power(f, n):
+    """f^n for n >= 1 by repeated squaring.  Under any grouping of its n - 1
+    products, f^n is known below prec + (n - 1)*v(f), so the result is the
+    left-to-right product's."""
+    if n == 1:
+        return f
+    half = _series_power(f, n // 2)
+    return half * half * f if n % 2 else half * half
+
+
 def parse_expression(text, rank=1, default_prec=10):
     """Parse into a Coefficient, TruncatedSeries, or SeriesPolynomial."""
     return _Parser(text, rank, default_prec).parse()
 
-
-def format_value(value) -> str:
-    """Canonical textual form; parse_expression(format_value(v)) == v
-    whenever the session precision dominates the printed bounds."""
-    return str(value)

@@ -28,10 +28,7 @@ __all__ = [
     "TruncatedSeries",
     "SeriesPolynomial",
     "AtLeast",
-    "v_min",
     "phi_P",
-    "split_neg",
-    "residue",
     "eval_poly",
     "first_order",
     "specialize_poly",
@@ -250,13 +247,10 @@ class TruncatedSeries:
 
     def split_neg(self):
         """Split into (negative-exponent part, valuation-ring part)."""
-        neg = [(e, c) for e, c in self.terms if e < self._zero_exp()]
-        ring = [(e, c) for e, c in self.terms if not e < self._zero_exp()]
-        ring_prec = max(self.prec, self._zero_exp())
-        return (
-            TruncatedSeries(neg, self.prec),
-            TruncatedSeries(ring, ring_prec),
-        )
+        zero = self._zero_exp()
+        neg = _below(self.terms, zero)
+        ring = TruncatedSeries._of(self.terms[len(neg):], max(self.prec, zero))
+        return TruncatedSeries._of(neg, self.prec), ring
 
     def residue(self) -> Coefficient:
         """Coefficient at exponent 0; requires v_min >= 0 and prec > 0."""
@@ -343,9 +337,6 @@ class SeriesPolynomial:
             [c.scalar_mul(i) for i, c in enumerate(self.coeffs)][1:]
         )
 
-    def map_coeffs(self, fn) -> "SeriesPolynomial":
-        return SeriesPolynomial([fn(c) for c in self.coeffs])
-
     def __eq__(self, other):
         if not isinstance(other, SeriesPolynomial):
             return NotImplemented
@@ -372,25 +363,13 @@ class SeriesPolynomial:
         return f"SeriesPolynomial({self})"
 
 
-def v_min(f: TruncatedSeries):
-    return f.v_min()
-
-
 def phi_P(f: TruncatedSeries, place: Place) -> TruncatedSeries:
     """Coefficientwise place application (requires every coefficient finite)."""
     return f.specialize(place)
 
 
 def specialize_poly(q: SeriesPolynomial, place: Place) -> SeriesPolynomial:
-    return q.map_coeffs(lambda c: c.specialize(place))
-
-
-def split_neg(f: TruncatedSeries):
-    return f.split_neg()
-
-
-def residue(f: TruncatedSeries) -> Coefficient:
-    return f.residue()
+    return SeriesPolynomial([c.specialize(place) for c in q.coeffs])
 
 
 def eval_poly(q, f: TruncatedSeries) -> TruncatedSeries:

@@ -193,20 +193,13 @@ def _greedy_reduce(f, basis: BasisFamily):
     return remainder, coeffs
 
 
-def optimal_approx(f, basis, scalars=None, with_coeffs=False):
+def optimal_approx(f, basis: BasisFamily, with_coeffs=False):
     """Best approximation to f from the span of the basis, in the
     valuation metric: w(approx - f) >= w(b - f) for every span element b.
 
-    basis may be a BasisFamily, or any iterable of series, which is first
-    folded through extend_basis into an independent spanning family.
+    A spanning list that may be dependent is folded into a BasisFamily
+    with extend_basis first.
     """
-    if not isinstance(basis, BasisFamily):
-        if with_coeffs:
-            raise PreconditionError("with_coeffs requires a BasisFamily")
-        family = BasisFamily((), scalars or ScalarField.rationals())
-        for b in basis:
-            family = extend_basis(family, b)
-        basis = family
     _, coeffs = _greedy_reduce(f, basis)
     terms = [b.scalar_mul(lam) for lam, b in zip(coeffs, basis.entries) if not lam.is_zero()]
     approx = sum(terms[1:], terms[0]) if terms else TruncatedSeries.zero(f.prec)
@@ -451,14 +444,12 @@ def build_restricted_exp(additive: BasisFamily, units) -> RestrictedExpMap:
     return RestrictedExpMap(additive, units, images)
 
 
-def chain_basis_build(stage_inputs, stage_vars, scalars=None):
+def chain_basis_build(stage_inputs, stage_vars, scalars=ScalarField()):
     """Iterated basis extension along a nested chain of variable sets.
 
     stage_inputs[s] must have coefficients within stage_vars[s]; the
     result is the list of cumulative bases, one per stage.
     """
-    if scalars is None:
-        scalars = ScalarField.rationals()
     stage_vars = [frozenset(v) for v in stage_vars]
     if len(stage_inputs) != len(stage_vars):
         raise PreconditionError("one variable set per stage is required")

@@ -1,10 +1,12 @@
 import random
+import sys
 import time
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
 
+import hahnseries.analytic as analytic
 from conftest import rand_coeff, rand_eps, rand_fraction, rand_series
 from hahnseries.coeffs import Coefficient
 from hahnseries.errors import PrecisionError, PreconditionError
@@ -436,10 +438,12 @@ def test_hensel_takes_log_many_residuals():
     assert isinstance(trace[-1], AtLeast)
 
 
-def test_hensel_step_budget():
+def test_hensel_step_budget(monkeypatch):
+    assert analytic.HENSEL_STEPS == 10_000
     q, r, _ = _dense_quadratic(16)
+    monkeypatch.setattr(analytic, "HENSEL_STEPS", 1)
     with pytest.raises(PrecisionError, match="no convergence within 1 steps"):
-        hensel_lift(q, r, max_steps=1)
+        hensel_lift(q, r)
 
 
 def test_track_denominators_examples():
@@ -866,11 +870,37 @@ def test_ratrec_rejects_rank_2():
         rational_reconstruct(ts({(0, 1): 1}, (3, 0)), 0, 1)
 
 
-def test_puiseux_refusals():
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_puiseux_stack_depth_does_not_grow_with_the_precision():
+    # a branch is one node deeper per root term: the prec-100 roots of
+    # y^2 - y + t have about 100 terms each, and are found within a limit
+    # of 60 frames above the caller's
+    q = parse_expression("y^2 - y + t", default_prec=100)
+    want = newton_puiseux(q, 100)
+    assert [len(r.terms) for r in want] == [100, 99]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 60)
+    try:
+        got = newton_puiseux(q, 100)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == want
+
+
+def test_puiseux_refusals(monkeypatch):
+    assert analytic.PUISEUX_STEPS == 2_000
     y2_minus_t = SeriesPolynomial([ts({1: -1}, 5), ts({}, 5), one(5)])
-    assert len(newton_puiseux(y2_minus_t, 5, max_steps=3)) == 2
+    monkeypatch.setattr(analytic, "PUISEUX_STEPS", 3)
+    assert len(newton_puiseux(y2_minus_t, 5)) == 2
+    monkeypatch.setattr(analytic, "PUISEUX_STEPS", 2)
     with pytest.raises(PrecisionError, match="budget"):
-        newton_puiseux(y2_minus_t, 5, max_steps=2)
+        newton_puiseux(y2_minus_t, 5)
     with pytest.raises(PreconditionError, match="positive degree"):
         newton_puiseux(SeriesPolynomial([one(5)]), 5)
     rank2 = [ts({(1, 0): -1}, (5, 0)), ts({}, (5, 0)), one((5, 0))]

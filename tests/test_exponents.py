@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hahnseries.errors import RankMismatchError
-from hahnseries.exponents import Exponent, GroupSpec, arch_class, as_exponent, compare, reach_count
+from hahnseries.exponents import Exponent, as_exponent, reach_count
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=6)
 
@@ -15,14 +15,15 @@ def exponents(rank=1):
 
 
 def test_compare_examples():
-    assert compare(as_exponent(Fraction(1, 2)), as_exponent(1)) == -1
-    assert compare(Exponent((0, 5)), Exponent((1, -100))) == -1
-    assert compare(Exponent((2, 3)), Exponent((2, 3))) == 0
+    assert as_exponent(Fraction(1, 2)) < as_exponent(1)
+    assert Exponent((0, 5)) < Exponent((1, -100))
+    assert Exponent((2, 3)) == Exponent((2, 3)) and Exponent((2, 3)) <= Exponent((2, 3))
 
 
 def test_compare_rank_mismatch():
-    with pytest.raises(RankMismatchError):
-        compare(Exponent((1,)), Exponent((1, 2)))
+    for compare in (Exponent.__lt__, Exponent.__le__, Exponent.__gt__, Exponent.__ge__):
+        with pytest.raises(RankMismatchError):
+            compare(Exponent((1,)), Exponent((1, 2)))
 
 
 def test_arch_class_examples():
@@ -58,7 +59,7 @@ def test_arch_class_agrees_with_bruteforce(rng):
     for _ in range(200):
         g = Exponent((Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-5, 5))))
         h = Exponent((Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-5, 5))))
-        if g.is_zero or h.is_zero:
+        if g.arch_class() is None or h.arch_class() is None:
             continue
         same = g.arch_class() == h.arch_class()
         assert same == _arch_equiv_bruteforce(g, h)
@@ -120,20 +121,6 @@ def test_reach_count_agrees_with_bruteforce(rng):
             assert got == brute
 
 
-def test_group_spec():
-    spec = GroupSpec(2)
-    assert spec.zero() == Exponent((0, 0))
-    assert spec.unit() == Exponent((1, 0))
-    with pytest.raises(RankMismatchError):
-        spec.exponent(1)
-    with pytest.raises(ValueError):
-        GroupSpec(0)
-
-
-def test_arch_class_function_alias():
-    assert arch_class(Exponent((0, 3))) == 2
-
-
 @given(exponents(2), exponents(2), rationals)
 def test_arithmetic_results_match_validated_exponents(g, h, q):
     # the dunders build their results on trusted tuples: same coords, all
@@ -143,7 +130,6 @@ def test_arithmetic_results_match_validated_exponents(g, h, q):
         (g - h, [a - b for a, b in zip(g.coords, h.coords)]),
         (-g, [-a for a in g.coords]),
         (g.scale(q), [a * q for a in g.coords]),
-        (g * 3, [a * 3 for a in g.coords]),
     ):
         assert got == Exponent(coords) and hash(got) == hash(Exponent(coords))
         assert isinstance(got.coords, tuple)

@@ -1,5 +1,6 @@
 import re
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from conftest import rand_coeff, rand_series
 from hahnseries.coeffs import Coefficient
 from hahnseries.errors import HahnSeriesError, ParseError
 from hahnseries.exponents import as_exponent
-from hahnseries.parsing import format_value, parse_expression
+from hahnseries.parsing import parse_expression
 from hahnseries.series import SeriesPolynomial, TruncatedSeries
 
 a1 = Coefficient.alpha(1)
@@ -140,6 +141,54 @@ def test_integer_powers_equal_explicit_products():
         parse("(y + 1)^-2")
 
 
+def _power_by_products(value, n):
+    """f^n for n >= 1 by n - 1 products from the left: the reference for the
+    parser's repeated squaring."""
+    out = value
+    for _ in range(n - 1):
+        out = out * value
+    return out
+
+
+@pytest.mark.parametrize(
+    "text, rank, prec",
+    [
+        ("t^-1 + 1 + a1*t", 1, 6),  # negative valuation, Q(a1) coefficients
+        ("2*t^(1/2) - t^(3/2)/a2", 1, 5),  # fractional valuation
+        ("1 + t", 1, 5),  # valuation zero
+        ("t + O(t^3)", 1, 8),
+        ("t^(-1/3) + 3", 1, 2),
+        ("(a1 + 1)/a2 + t^2", 1, 4),
+        ("t^(1, -1) + t^(0, 2)", 2, (3, 0)),  # rank 2
+        ("O(t^2)", 1, 5),  # zero at precision
+        ("1 + t", 1, 0),
+    ],
+)
+def test_series_powers_match_repeated_products(text, rank, prec):
+    base = parse(text, rank=rank, default_prec=prec)
+    for n in range(1, 14):
+        for sign, factor in (("", base), ("-", base.inv() if base.terms else None)):
+            if factor is None:
+                continue
+            got = parse(f"({text})^{sign}{n}", rank=rank, default_prec=prec)
+            want = _power_by_products(factor, n)
+            assert got.terms == want.terms and got.prec == want.prec, (text, sign, n)
+
+
+def test_a_large_power_takes_logarithmically_many_products(monkeypatch):
+    products = []
+    real = TruncatedSeries.__mul__
+
+    def counting(self, other):
+        products.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counting)
+    v = parse("(1 + t)^1000000", default_prec=5)
+    assert v == TruncatedSeries({k: comb(10**6, k) for k in range(5)}, 5)
+    assert len(products) <= 2 * (10**6).bit_length()
+
+
 def test_poly_division_by_series():
     v = parse("(y^2 - 1)/2", default_prec=4)
     assert isinstance(v, SeriesPolynomial)
@@ -151,14 +200,14 @@ def test_poly_division_by_series():
 def test_value_roundtrip_series(rng):
     for _ in range(200):
         s = rand_series(rng, prec=8, variables=(1, 2), lo=-2, hi=7)
-        text = format_value(s)
+        text = str(s)
         assert parse(text, default_prec=8) == s
 
 
 def test_value_roundtrip_coefficients(rng):
     for _ in range(200):
         c = rand_coeff(rng, (1, 2))
-        assert parse(format_value(c)) == c
+        assert parse(str(c)) == c
 
 
 def test_value_roundtrip_polynomials(rng):
@@ -167,7 +216,7 @@ def test_value_roundtrip_polynomials(rng):
         p = SeriesPolynomial(coeffs)
         if p.is_zero():
             continue
-        assert parse(format_value(p), default_prec=6) == p
+        assert parse(str(p), default_prec=6) == p
 
 
 def test_string_roundtrip_reparse(rng):
@@ -182,7 +231,7 @@ def test_string_roundtrip_reparse(rng):
     ]
     for text in texts:
         v = parse(text, default_prec=10)
-        printed = format_value(v)
+        printed = str(v)
         assert parse(printed, default_prec=10) == v
 
 
@@ -212,6 +261,6 @@ _fuzz_texts = (
 @given(_fuzz_texts)
 def test_parser_gives_a_value_or_a_typed_error(text):
     try:
-        format_value(parse(text, default_prec=4))
+        str(parse(text, default_prec=4))
     except (HahnSeriesError, ZeroDivisionError):
         pass

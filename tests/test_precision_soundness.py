@@ -12,10 +12,10 @@ from itertools import permutations
 
 import pytest
 
-from conftest import rand_eps, rand_series
+from conftest import rand_coeff, rand_eps, rand_series
 from hahnseries.analytic import OneUnit, exp, hensel_lift, log, newton_puiseux, unit_pow
-from hahnseries.coeffs import Coefficient
-from hahnseries.errors import HahnSeriesError
+from hahnseries.coeffs import INFINITE, Coefficient, Place, apply_place
+from hahnseries.errors import HahnSeriesError, NotInValuationRingError
 from hahnseries.exponents import Exponent
 from hahnseries.series import SeriesPolynomial, TruncatedSeries, eval_poly
 
@@ -29,11 +29,12 @@ RANK2_SUPPORTS = (
 
 
 def with_tail(rng, f, variables=()):
-    """Extend f above its precision bound with random unknown terms."""
+    """Extend f above its precision bound with random unknown terms, with
+    coefficients in Q(a_j for j in variables), else in Z."""
     data = dict(f.terms)
     for _ in range(rng.randint(0, 3)):
         e = f.prec + TruncatedSeries.monomial(1, Fraction(rng.randint(0, 6), 2), HIGH).terms[0][0]
-        c = rng.randint(-3, 3)
+        c = rand_coeff(rng, variables) if variables else rng.randint(-3, 3)
         if c:
             data[e] = data.get(e, Coefficient.zero()) + c
     return TruncatedSeries(data, HIGH)
@@ -80,6 +81,47 @@ def test_inv_precision_sound(rng):
         truncated = f.inv()
         full = with_tail(rng, f).inv()
         assert agree_below(full, truncated, truncated.prec)
+
+
+def test_split_neg_precision_sound(rng):
+    for _ in range(150):
+        prec = Fraction(rng.randint(-6, 10), 2)
+        f = rand_series(rng, prec=prec, lo=-3, hi=5, variables=(1,))
+        neg, ring = f.split_neg()
+        full_neg, full_ring = with_tail(rng, f).split_neg()
+        assert agree_below(full_neg, neg, neg.prec), str(f)
+        assert agree_below(full_ring, ring, ring.prec), str(f)
+    for _ in range(50):
+        prec = Exponent((Fraction(rng.randint(-1, 1)), Fraction(rng.randint(-2, 2))))
+        f = TruncatedSeries(
+            {(rng.randint(-2, 1), rng.randint(-3, 3)): rng.choice((-1, 1, 2)) for _ in range(4)},
+            prec,
+        )
+        neg, ring = f.split_neg()
+        full_neg, full_ring = with_rank2_tail(rng, f).split_neg()
+        assert agree_below(full_neg, neg, neg.prec), str(f)
+        assert agree_below(full_ring, ring, ring.prec), str(f)
+
+
+def test_specialize_precision_sound(rng):
+    # tails in Q(a1, a2) that are finite at the place, as f is
+    checked = 0
+    for _ in range(200):
+        f = TruncatedSeries(
+            {Fraction(rng.randint(-4, 12), 2): rand_coeff(rng, (1, 2)) for _ in range(rng.randint(0, 4))},
+            Fraction(rng.randint(-2, 10), 2),
+        )
+        place = Place(rng.choice((1, 2)), Fraction(rng.randint(-3, 3), rng.choice((1, 2))))
+        try:
+            truncated = f.specialize(place)
+        except NotInValuationRingError:
+            continue
+        full = with_tail(rng, f, (1, 2))
+        if any(apply_place(c, place) is INFINITE for _, c in full.terms):
+            continue
+        assert agree_below(full.specialize(place), truncated, truncated.prec), (str(f), str(place))
+        checked += 1
+    assert checked >= 100
 
 
 def test_exp_log_precision_sound(rng):

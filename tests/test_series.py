@@ -24,10 +24,7 @@ from hahnseries.series import (
     eval_poly,
     first_order,
     phi_P,
-    residue,
     specialize_poly,
-    split_neg,
-    v_min,
 )
 
 a1 = Coefficient.alpha(1)
@@ -39,9 +36,9 @@ def ts(data, prec):
 
 
 def test_v_min_examples():
-    assert v_min(ts({2: 1, 5: 1}, 10)) == as_exponent(2)
-    assert v_min(ts({}, 10)) == AtLeast(as_exponent(10))
-    assert v_min(ts({Fraction(-1, 2): 1, 0: 3}, 4)) == as_exponent(Fraction(-1, 2))
+    assert ts({2: 1, 5: 1}, 10).v_min() == as_exponent(2)
+    assert ts({}, 10).v_min() == AtLeast(as_exponent(10))
+    assert ts({Fraction(-1, 2): 1, 0: 3}, 4).v_min() == as_exponent(Fraction(-1, 2))
 
 
 def test_construction_invariants():
@@ -56,7 +53,7 @@ def test_add_mul_examples():
     assert ((one + t) * (one - t)).agrees_with(one - t * t)
     f = TruncatedSeries.monomial(2, Fraction(1, 2), 8)
     g = TruncatedSeries.monomial(3, Fraction(1, 3), 8)
-    assert v_min(f * g) == as_exponent(Fraction(5, 6))
+    assert (f * g).v_min() == as_exponent(Fraction(5, 6))
 
 
 def test_add_disjoint_supports_canonicalizes_nothing(monkeypatch):
@@ -123,19 +120,21 @@ def sum_cases(rng):
 
 def test_add_matches_dict_sum():
     rng = random.Random(2718)
-    cancelled = cut = 0
+    cancelled = cut = deferred = 0
     for f, g in sum_cases(rng):
-        # a Coefficient on the left does not defer to the series
-        for got in (f + g, g + f) if not isinstance(g, Coefficient) else (f + g,):
-            want = _dict_sum(f, g)
+        # a scalar on the left, a Coefficient included, defers to the series
+        for got, want in ((f + g, _dict_sum(f, g)), (g + f, _dict_sum(f, g)),
+                          (f - g, _dict_sum(f, -f._coerce(g))), (g - f, _dict_sum(-f, g))):
             assert got.terms == want.terms and got.prec == want.prec, (str(f), str(g))
-        got = f - g
-        want = _dict_sum(f, -f._coerce(g))
-        assert got.terms == want.terms and got.prec == want.prec, (str(f), str(g))
+        if not isinstance(g, TruncatedSeries):
+            assert g * f == f * g
+            if f.terms:
+                assert g / f == f._coerce(g) / f
+            deferred += isinstance(g, Coefficient)
         g = f._coerce(g)
         cancelled += len(f.terms) + len(g.terms) > 0 and not _dict_sum(f, g).terms
         cut += any(not e < f.prec for e, _ in g.terms) or any(not e < g.prec for e, _ in f.terms)
-    assert cancelled > 20 and cut > 50
+    assert cancelled > 20 and cut > 50 and deferred > 10
 
 
 def test_truncate_matches_the_constructor():
@@ -233,20 +232,20 @@ def test_phi_drops_vanishing_coefficients():
 
 def test_split_neg_examples():
     f = ts({-1: 1, 0: 2, 1: 3}, 5)
-    neg, ring = split_neg(f)
+    neg, ring = f.split_neg()
     assert neg == ts({-1: 1}, 5)
     assert ring == ts({0: 2, 1: 3}, 5)
-    neg, ring = split_neg(ts({2: 5}, 5))
+    neg, ring = ts({2: 5}, 5).split_neg()
     assert neg.is_zero_at_prec() and ring == ts({2: 5}, 5)
     f = ts({Fraction(-1, 2): 1, Fraction(-1, 3): 1}, 5)
-    neg, ring = split_neg(f)
+    neg, ring = f.split_neg()
     assert neg == f and ring.is_zero_at_prec()
 
 
 def test_split_neg_recombination(rng):
     for _ in range(100):
         f = rand_series(rng, prec=4, lo=-3, hi=4, variables=(1,))
-        neg, ring = split_neg(f)
+        neg, ring = f.split_neg()
         assert (neg + ring) == f
         zero = f.prec.scale(0)
         for e, _ in ring.terms:
@@ -257,19 +256,19 @@ def test_split_neg_recombination(rng):
 
 def test_split_neg_low_precision():
     f = ts({-3: 1}, -1)
-    neg, ring = split_neg(f)
+    neg, ring = f.split_neg()
     assert neg.prec == as_exponent(-1)
     assert ring.prec == as_exponent(0)
     assert (neg + ring).agrees_with(f)
 
 
 def test_residue_examples():
-    assert residue(ts({0: 7, 1: 1}, 5)) == Coefficient.const(7)
-    assert residue(ts({2: 1}, 5)) == Coefficient.zero()
+    assert ts({0: 7, 1: 1}, 5).residue() == Coefficient.const(7)
+    assert ts({2: 1}, 5).residue() == Coefficient.zero()
     with pytest.raises(NotInValuationRingError):
-        residue(ts({-1: 1, 0: 1}, 5))
+        ts({-1: 1, 0: 1}, 5).residue()
     with pytest.raises(PrecisionError):
-        residue(ts({}, 0))
+        ts({}, 0).residue()
 
 
 def test_eval_poly_examples():
@@ -315,9 +314,9 @@ def test_rank_mismatch():
 
 def test_rank2_series():
     f = TruncatedSeries({(0, 1): 1, (1, -2): 3}, (2, 0))
-    assert v_min(f) == Exponent((0, 1))
+    assert f.v_min() == Exponent((0, 1))
     g = f * f
-    assert v_min(g) == Exponent((0, 2))
+    assert g.v_min() == Exponent((0, 2))
 
 
 def test_str_examples():

@@ -3,7 +3,7 @@
 Each import check runs a fresh interpreter with ``PYTHONPATH=src`` and
 reads its ``sys.modules`` once it has run; ``-S`` keeps the modules that
 site-packages hooks import out of the list.  The records that
-replaced frozen dataclasses (``Place``, ``GroupSpec``, ``AtLeast``) are
+replaced frozen dataclasses (``Place``, ``AtLeast``) are
 checked against dataclass twins with the old definitions.
 """
 
@@ -22,7 +22,7 @@ import pytest
 import hahnseries
 from hahnseries.coeffs import Place
 from hahnseries.errors import PreconditionError
-from hahnseries.exponents import Exponent, GroupSpec, as_exponent
+from hahnseries.exponents import Exponent, as_exponent
 from hahnseries.series import AtLeast
 from test_cli import CASES
 
@@ -130,21 +130,11 @@ class PlaceTwin:
 
 
 @dataclasses.dataclass(frozen=True)
-class GroupSpecTwin:
-    k: int = 1
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("rank must be a positive integer")
-
-
-@dataclasses.dataclass(frozen=True)
 class AtLeastTwin:
     bound: Exponent
 
 
 PlaceTwin.__qualname__ = "Place"
-GroupSpecTwin.__qualname__ = "GroupSpec"
 AtLeastTwin.__qualname__ = "AtLeast"
 
 E = as_exponent
@@ -152,7 +142,6 @@ E = as_exponent
 # (record, twin, argument tuples with some equal pairs)
 RECORDS = [
     (Place, PlaceTwin, [(1, 2), (1, Fraction(2)), (1, Fraction(-1, 3)), (2, 2)]),
-    (GroupSpec, GroupSpecTwin, [(), (1,), (2,), (3,)]),
     (AtLeast, AtLeastTwin, [(E(1),), (E(1),), (E(Fraction(1, 2)),), (E((1, 0)),)]),
 ]
 
@@ -192,7 +181,6 @@ def test_records_refuse_assignment(record, twin, arg_sets):
 def test_records_take_the_dataclass_arguments():
     assert repr(Place(var=1, q=2)) == "Place(var=1, q=Fraction(2, 1))"
     assert type(Place(1, 2).q) is Fraction
-    assert GroupSpec() == GroupSpec(k=1) and GroupSpec(2).k == 2
     assert AtLeast(bound=E(1)).bound == E(1)
     with pytest.raises(TypeError):
         AtLeast(E(1), E(2))
@@ -203,7 +191,6 @@ def test_records_take_the_dataclass_arguments():
     [
         (Place, PlaceTwin, (0, 1), PreconditionError),
         (Place, PlaceTwin, (-2, 1), PreconditionError),
-        (GroupSpec, GroupSpecTwin, (0,), ValueError),
     ],
 )
 def test_records_validate_as_the_dataclasses(record, twin, args, error):

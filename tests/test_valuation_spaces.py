@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -164,9 +165,10 @@ def test_optimal_approx_examples():
     assert optimal_approx(f, BasisFamily([t_mono(5)], QQ)) == t_mono(5)
     g = t_mono(5, c=a1)
     assert optimal_approx(g, BasisFamily([t_mono(5)], QQ)).is_zero_at_prec()
-    # dependent spanning list is reduced first
+    # a dependent spanning list is folded into a family first
     f2 = ts({1: 3, 3: 5}, 6)
-    approx = optimal_approx(f2, [t_mono(6), ts({1: 1, 2: 1}, 6)])
+    basis = reduce(extend_basis, [t_mono(6), ts({1: 1, 2: 1}, 6)], BasisFamily([], QQ))
+    approx = optimal_approx(f2, basis)
     assert approx == ts({1: 3}, 6)
 
 
@@ -807,22 +809,9 @@ def test_optimal_approx_list_matches_independent_representatives(rng):
         for _ in range(40):
             items = _spanning_list(rng, variables)
             f = rand_series(rng, prec=6, variables=variables, lo=0, hi=5)
-            new = optimal_approx(f, items, scalars)
+            new = optimal_approx(f, reduce(extend_basis, items, BasisFamily([], scalars)))
             old = _oracle_optimal_approx(f, items, scalars)
             assert _series_key(new) == _series_key(old)
-
-
-def test_optimal_approx_refuses_with_coeffs_before_the_sweep():
-    consumed = []
-
-    def members():
-        for s in (t_mono(5), t_mono(5, 2)):
-            consumed.append(s)
-            yield s
-
-    with pytest.raises(PreconditionError, match="with_coeffs requires a BasisFamily"):
-        optimal_approx(t_mono(5), members(), with_coeffs=True)
-    assert consumed == []
 
 
 def _pole_unit(rng, variables, prec):
