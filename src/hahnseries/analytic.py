@@ -358,19 +358,16 @@ def newton_puiseux(q: SeriesPolynomial, prec, branch_count=None):
                 return None
         return min(prec, p0.prec - d)
 
-    def expand(poly, mu_lower, head):
-        """Yields the arguments of the node's children in turn; a node that
-        ends a branch then adds its (root terms, tau), after its children's."""
-        nonlocal nodes
-        nodes += 1
-        if nodes > PUISEUX_STEPS:
-            raise PrecisionError("expansion step budget exhausted")
+    def survey(poly, mu_lower):
+        """The node's edges above mu_lower and below prec, as (mu, psi)
+        pairs, and whether the node ends a branch."""
         coeffs = poly.coeffs
         leaf = coeffs[0].is_zero_at_prec()
         points = [
             (i, cf.terms[0][0]) for i, cf in enumerate(coeffs) if cf.terms
         ]
         values = dict(points)
+        edges = []
         for mu, i1, i2 in _edges(points):
             if mu_lower is not None and not mu > mu_lower:
                 continue
@@ -385,15 +382,33 @@ def newton_puiseux(q: SeriesPolynomial, prec, branch_count=None):
                     cf.terms and cf.terms[0][0] == v1 - mu.scale(j - i1)
                 )
                 psi.append(cf.terms[0][1] if on_edge else Coefficient.zero())
-            for c in _initial_form_roots(psi):
-                yield _shift_poly(poly, c, mu), mu, {**head, mu: c}
+            edges.append((mu, psi))
+        return edges, leaf
+
+    def expand(held, mu_lower, head):
+        """Yields the arguments of the node's children in turn; a node that
+        ends a branch then adds its (root terms, tau), after its children's.
+        held is [the node's polynomial], which the node empties for its
+        last child, so a branch does not keep its ancestors' polynomials;
+        head is the root terms so far, as a chain (earlier, mu, c)."""
+        nonlocal nodes
+        nodes += 1
+        if nodes > PUISEUX_STEPS:
+            raise PrecisionError("expansion step budget exhausted")
+        edges, leaf = survey(held[0], mu_lower)
+        tau = certify(held[0]) if leaf else None
+        for n, (mu, psi) in enumerate(edges, 1):
+            cs = _initial_form_roots(psi)
+            for k, c in enumerate(cs, 1):
+                last = n == len(edges) and k == len(cs)
+                yield [_shift_poly(held.pop() if last else held[0], c, mu)], mu, (head, mu, c)
         if leaf:
-            data.append((head, certify(poly)))
+            data.append((head, tau))
 
     # depth first on a stack of generators rather than by recursion, as a
     # branch is one node deeper per root term
     data, nodes = [], 0
-    stack = [expand(q, None, {})]
+    stack = [expand([q], None, None)]
     while stack:
         child = next(stack[-1], None)
         if child is None:
@@ -407,7 +422,13 @@ def newton_puiseux(q: SeriesPolynomial, prec, branch_count=None):
             "roots not separated at the working precision: the polynomial is not"
             " squarefree, or its known coefficients do not determine the roots"
         )
-    roots = [TruncatedSeries(d, tau) for d, tau in data]
+    roots = []
+    for head, tau in data:
+        terms = []
+        while head:
+            head, mu, c = head
+            terms.append((mu, c))
+        roots.append(TruncatedSeries(terms, tau))
     roots.sort(key=lambda s: [(e.coords, str(c)) for e, c in s.terms])
     if branch_count is not None:
         roots = roots[:branch_count]

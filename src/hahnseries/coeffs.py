@@ -38,9 +38,6 @@ __all__ = [
     "default_candidates",
 ]
 
-_ZERO = Fraction(0)
-
-
 class _Infinite:
     """The value a place takes at a pole."""
 
@@ -108,16 +105,15 @@ class Coefficient:
     def _value(self):
         """The Fraction of a constant, None otherwise.
 
-        Canonical constants have den exactly 1 (a monic constant), so the
-        test reads the two term dicts and nothing else.
+        Canonical constants have den exactly 1 (a monic constant), and a
+        constant's integer part is {(): 1}, so the test reads the two
+        integer parts and returns the numerator's content.
         """
-        den = self.den.terms
+        den = self.den.z
         if len(den) != 1 or () not in den:
             return None
-        num = self.num.terms
-        if not num:
-            return _ZERO
-        return num.get(()) if len(num) == 1 else None
+        num = self.num.z
+        return self.num.c if not num or (len(num) == 1 and () in num) else None
 
     def is_const(self) -> bool:
         return self._value() is not None
@@ -247,7 +243,7 @@ class Coefficient:
         if self.den.is_const() and self.den.const_value() == 1:
             return str(self.num)
         num = str(self.num)
-        if len(self.num.terms) > 1 or num.startswith("-"):
+        if len(self.num.z) > 1 or num.startswith("-"):
             num = f"({num})"
         return f"{num}/({self.den})"
 

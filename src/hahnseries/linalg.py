@@ -11,7 +11,7 @@ entirely inside Q(a_Y).
 from __future__ import annotations
 
 from .coeffs import Coefficient
-from .polynomials import Poly, divexact, poly_lcm
+from .polynomials import Poly, divexact, from_ints, poly_lcm
 
 __all__ = ["rref", "null_combination", "in_span"]
 
@@ -79,17 +79,21 @@ def _expand_columns(elements, scalar_vars):
     for c in elements:
         cofactor = divexact(common, c.den)
         cleared.append(c.num * cofactor)
+    # entry idx of a row is cleared[idx].c times the integer bucket {y_part: int}
     rows = {}
     for idx, p in enumerate(cleared):
-        for mono, q in p.terms.items():
-            z_part = tuple((v, e) for v, e in mono if v not in scalar_vars)
-            y_part = tuple((v, e) for v, e in mono if v in scalar_vars)
-            bucket = rows.setdefault(z_part, [Poly() for _ in elements])
-            bucket[idx] = bucket[idx] + Poly({y_part: q})
+        for mono, v in p.z.items():
+            z_part = tuple((u, e) for u, e in mono if u not in scalar_vars)
+            y_part = tuple((u, e) for u, e in mono if u in scalar_vars)
+            rows.setdefault(z_part, [{} for _ in elements])[idx][y_part] = v
     out = []
+    contents = [(p.c.numerator, p.c.denominator) for p in cleared]
     for z_part in sorted(rows, key=lambda m: (len(m), m)):
         # a denominator of 1 is already canonical
-        out.append([Coefficient(p, Poly.one(), _canonical=True) for p in rows[z_part]])
+        out.append([
+            Coefficient(from_ints(n, d, b), Poly.one(), _canonical=True)
+            for (n, d), b in zip(contents, rows[z_part])
+        ])
     return out
 
 

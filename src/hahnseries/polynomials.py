@@ -1,37 +1,46 @@
 """Sparse multivariate polynomials over exact rationals.
 
 Support layer for the rational-function coefficient field.  Monomials
-are stored sparsely as tuples of (variable index, power) pairs with
-ascending indices; the empty tuple is 1.  The graded lex term order
-only fixes leading coefficients, hence the canonical form of
-fractions, and the printed order of terms.  Every algorithm that
-treats a polynomial as univariate in one variable works on its dense
-view: ``dense(p, var)`` is the list of coefficients (polynomials in
-the other variables) indexed by power, and ``_join`` is its inverse.
-Most gcds the coefficient field asks for are 1.  Gcd first tries a
-coprimality certificate, the first step of Brown's modular gcd (J. ACM
-18, 1971): for each variable x of both inputs, the other variables go
-to fixed points modulo the prime 2^61 - 1, and a univariate gcd of
-degree 0 there shows that x does not occur in the gcd.  This is sound:
-by Gauss's lemma the gcd h can be scaled to have no multiple of the
-prime in its denominators, so its image divides both images; and
-lc_x(h) divides lc_x of each input, so the image of h keeps its degree
-in x when either input's leading coefficient survives the evaluation.
-When any check fails, gcd computes the answer by content/primitive-part
-recursion with a primitive pseudo-remainder sequence (PRS) on dense
-views (plain Euclid over Q when one variable is left), the one
+are tuples of (variable index, power) pairs with ascending indices; the
+empty tuple is 1.  A polynomial is a rational content c times a
+primitive integer part z = {monomial: int}, whose values have gcd 1 and
+whose value at min(z), the least monomial in plain tuple order, is
+positive.  The form is unique; zero is (0, {}) and a constant q is
+(q, {(): 1}).  By Gauss's lemma a product of primitive polynomials is
+primitive, so a product is c1*c2 times the integer convolution z1*z2
+with only its sign to fix; scaling, negation and monic change c alone,
+and a sum takes one integer gcd.  The graded lex order fixes leading
+coefficients, hence the canonical form of fractions, and the printed
+order of terms.  Algorithms that treat a polynomial as univariate in
+one variable work on its dense view: ``dense(p, var)`` lists its
+coefficients (polynomials in the other variables) by power, and
+``_join`` is its inverse.  Most gcds the coefficient field asks for are
+1.  Gcd first tries a coprimality certificate, the first step of
+Brown's modular gcd (J. ACM 18, 1971): for each variable x of both
+inputs, the other variables go to fixed points modulo the prime
+2^61 - 1, and a univariate gcd of degree 0 of the integer parts' images
+shows that x does not occur in the gcd.  This is sound: by Gauss's
+lemma the gcd h divides both integer parts in Z[a1, ...], so its image
+divides both images; and lc_x(h) divides lc_x of each input, so the
+image of h keeps its degree in x when either input's leading
+coefficient survives the evaluation.  Otherwise gcd recurses on
+contents and primitive parts with a primitive pseudo-remainder sequence
+(PRS) on dense views, on integers once one variable is left: the one
 algorithm for nontrivial gcds.  Exact division is long division on
-dense views, and perfect-square detection supports quadratic initial
-forms.
+dense views; in one variable it divides the integer parts, whose
+quotient is integral when it exists (Gauss's lemma), so it stops at the
+first top entry that does not divide.  Perfect-square detection
+supports quadratic initial forms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm, prod
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ONE = Fraction(1)  # a content of 1 built here is this object; __mul__ tests identity
+_UNIT = {(): 1}  # the integer part of every constant built here; never mutated
 
 
 def mono_mul(a, b):
@@ -67,121 +76,139 @@ def grlex_key(m):
     return (mono_degree(m), tuple((-v, e) for v, e in m))
 
 
-class Poly:
-    """Sparse polynomial in variables a1, a2, ... over Q."""
+def _new(c, z) -> "Poly":
+    """The polynomial c*z for a canonical pair; nothing is checked."""
+    p = object.__new__(Poly)
+    p.c = c
+    p.z = z
+    return p
 
-    __slots__ = ("terms",)
+
+def from_ints(n, d, z) -> "Poly":
+    """The polynomial (n/d)*z, for an integer dict z with no zero values,
+    in canonical form: the gcd of z's values moves into the content, and
+    the value at min(z) becomes positive."""
+    if not z:
+        return _new(_ZERO, {})
+    g = gcd(*z.values())
+    if z[min(z)] < 0:
+        g = -g
+    if g != 1:
+        z = {m: v // g for m, v in z.items()}
+    n *= g
+    return _new(_ONE if n == d else Fraction(n, d), z)
+
+
+class Poly:
+    """Sparse polynomial in variables a1, a2, ... over Q: the content c
+    (a Fraction) times the primitive integer part z (see the module
+    docstring).  A Poly is never mutated."""
+
+    __slots__ = ("c", "z")
 
     def __init__(self, terms=None):
-        self.terms = dict(terms) if terms else {}
+        terms = {m: q for m, q in dict(terms).items() if q} if terms else {}
+        d = lcm(*(q.denominator for q in terms.values()))
+        p = from_ints(1, d, {m: q.numerator * (d // q.denominator) for m, q in terms.items()})
+        self.c, self.z = p.c, p.z
+
+    @property
+    def terms(self):
+        """{monomial: Fraction}, built on each read (printing and tests)."""
+        c = self.c
+        return {m: c * v for m, v in self.z.items()}
 
     @classmethod
     def zero(cls):
-        return cls()
+        return _new(_ZERO, {})
 
     @classmethod
     def one(cls):
-        return cls({(): _ONE})
+        return _new(_ONE, _UNIT)
 
     @classmethod
     def const(cls, q):
         q = q if isinstance(q, Fraction) else Fraction(q)
-        return cls({(): q} if q else {})
+        return _new(q, _UNIT) if q else _new(_ZERO, {})
 
     @classmethod
     def variable(cls, j):
         if j < 1:
             raise ValueError("variable indices start at 1")
-        return cls({((j, 1),): _ONE})
+        return _new(_ONE, {((j, 1),): 1})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.z
 
     def is_const(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and () in self.terms)
+        return not self.z or (len(self.z) == 1 and () in self.z)
 
     def const_value(self) -> Fraction:
-        if not self.terms:
-            return _ZERO
         if self.is_const():
-            return self.terms[()]
+            return self.c
         raise ValueError("not a constant polynomial")
 
     def variables(self):
-        out = set()
-        for m in self.terms:
-            for v, _ in m:
-                out.add(v)
-        return out
+        return {v for m in self.z for v, _ in m}
 
     def leading_mono(self):
-        return max(self.terms, key=grlex_key)
+        return max(self.z, key=grlex_key)
 
     def leading_coeff(self) -> Fraction:
-        return self.terms[self.leading_mono()] if self.terms else _ZERO
+        return self.c * self.z[self.leading_mono()] if self.z else _ZERO
 
     def monic(self) -> "Poly":
-        if not self.terms:
+        if not self.z:
             return self
-        lc = self.leading_coeff()
-        if lc == 1:
-            return self
-        return self.scale(1 / lc)
+        lc = self.z[self.leading_mono()]
+        return _new(_ONE if lc == 1 else Fraction(1, lc), self.z)
 
     def scale(self, q) -> "Poly":
         q = q if isinstance(q, Fraction) else Fraction(q)
         if not q:
-            return Poly()
+            return Poly.zero()
         if q == 1:
-            return self  # a Poly is never mutated
-        return Poly({m: c * q for m, c in self.terms.items()})
+            return self
+        return _new(self.c * q, self.z)
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, _ZERO) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return Poly(out)
+        return _sum(self, other, 1)
 
     def __sub__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, _ZERO) - c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return Poly(out)
+        return _sum(self, other, -1)
 
     def __neg__(self):
-        return Poly({m: -c for m, c in self.terms.items()})
+        return _new(-self.c, self.z)
 
     def __mul__(self, other):
-        if not self.terms or not other.terms:
-            return Poly()
-        if other.is_const():
-            return self.scale(other.terms[()])
-        if self.is_const():
-            return other.scale(self.terms[()])
+        z1, z2 = self.z, other.z
+        if not z1 or not z2:
+            return Poly.zero()
+        c1, c2 = self.c, other.c
+        c = c2 if c1 is _ONE else c1 if c2 is _ONE else c1 * c2
+        if len(z2) == 1 and () in z2:
+            return _new(c, z1)
+        if len(z1) == 1 and () in z1:
+            return _new(c, z2)
         out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+        get = out.get
+        for m1, v1 in z1.items():
+            for m2, v2 in z2.items():
                 m = mono_mul(m1, m2)
-                s = out.get(m, _ZERO) + c1 * c2
+                s = get(m, 0) + v1 * v2
                 if s:
                     out[m] = s
                 else:
-                    out.pop(m, None)
-        return Poly(out)
+                    del out[m]
+        # primitive by Gauss's lemma; the sign rule is not multiplicative
+        if out[min(out)] < 0:
+            return _new(-c, {m: -v for m, v in out.items()})
+        return _new(c, out)
 
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly.one()
-        base = self
+        result, base = Poly.one(), self
         while n:
             if n & 1:
                 result = result * base
@@ -190,51 +217,70 @@ class Poly:
         return result
 
     def subs_var(self, var, q) -> "Poly":
-        """Substitute a rational for one variable (Horner on the dense view)."""
+        """Substitute a rational n/d for one variable: with D = deg_var,
+        d^D * z(n/d) = sum_e z_e * n^e * d^(D-e) is a sum of integers."""
+        if not self.z:
+            return self
         q = q if isinstance(q, Fraction) else Fraction(q)
-        out = Poly()
-        for c in reversed(dense(self, var)):
-            out = out.scale(q) + c
-        return out
+        n, d = q.numerator, q.denominator
+        cols = _buckets(self.z, var)
+        top = len(cols) - 1
+        out = {}
+        for e, col in enumerate(cols):
+            k = n**e * d ** (top - e)
+            for m, v in col.items():
+                out[m] = out.get(m, 0) + k * v
+        out = {m: v for m, v in out.items() if v}
+        return from_ints(self.c.numerator, self.c.denominator * d**top, out)
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.terms == other.terms
+        return self.z == other.z and self.c == other.c
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.c, frozenset(self.z.items())))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for m in sorted(self.terms, key=grlex_key, reverse=True):
-            c = self.terms[m]
-            body = "*".join(
-                f"a{v}^{e}" if e > 1 else f"a{v}" for v, e in m
-            )
-            if not body:
-                s = str(abs(c))
-            elif abs(c) == 1:
-                s = body
-            else:
-                s = f"{abs(c)}*{body}"
-            if not parts:
-                parts.append(s if c > 0 else f"-{s}")
-            else:
-                parts.append(f"+ {s}" if c > 0 else f"- {s}")
-        return " ".join(parts)
+        out = ""
+        for m in sorted(self.z, key=grlex_key, reverse=True):
+            q = self.c * self.z[m]
+            body = "*".join(f"a{v}^{e}" if e > 1 else f"a{v}" for v, e in m)
+            s = f"{abs(q)}*{body}" if body and abs(q) != 1 else body or str(abs(q))
+            out += (f" {'-' if q < 0 else '+'} " if out else "-" if q < 0 else "") + s
+        return out or "0"
 
     def __repr__(self):
         return f"Poly({self})"
 
 
-def dense(p: Poly, var):
-    """p as a polynomial in var: its coefficients (polynomials in the other
-    variables) indexed by power, with the top entry nonzero; [] for 0."""
+def _sum(p: Poly, q: Poly, sign) -> Poly:
+    """p + sign*q on the integer parts: with g the rational gcd of the two
+    contents, p + sign*q = g*(k1*z1 + k2*z2) for integers k1, k2."""
+    if not q.z:
+        return p
+    if not p.z:
+        return q if sign > 0 else -q
+    n1, d1 = p.c.numerator, p.c.denominator
+    n2, d2 = q.c.numerator, q.c.denominator
+    gn, gd = gcd(n1, n2), gcd(d1, d2)
+    k1, k2 = n1 // gn * (d2 // gd), sign * n2 // gn * (d1 // gd)
+    out = dict(p.z) if k1 == 1 else {m: k1 * v for m, v in p.z.items()}
+    get = out.get
+    for m, v in q.z.items():
+        s = get(m, 0) + k2 * v
+        if s:
+            out[m] = s
+        else:
+            del out[m]
+    return from_ints(gn, d1 // gd * d2, out)
+
+
+def _buckets(z, var):
+    """The integer part z as a polynomial in var: {rest of the monomial:
+    int} indexed by power, with the top entry nonempty."""
     buckets = []
-    for m, c in p.terms.items():
+    for m, c in z.items():
         e, rest = 0, m
         for i, (v, k) in enumerate(m):
             if v == var:
@@ -243,56 +289,63 @@ def dense(p: Poly, var):
         while len(buckets) <= e:
             buckets.append({})
         buckets[e][rest] = c
-    return [Poly(b) for b in buckets]
+    return buckets
+
+
+def dense(p: Poly, var):
+    """p as a polynomial in var: its coefficients (polynomials in the other
+    variables) indexed by power, with the top entry nonzero; [] for 0."""
+    n, d = p.c.numerator, p.c.denominator
+    return [from_ints(n, d, b) for b in _buckets(p.z, var)]
 
 
 def _join(coeffs, var) -> Poly:
-    """Inverse of dense: the polynomial sum of coeffs[e] * var^e."""
+    """Inverse of dense: the polynomial sum of coeffs[e] * var^e.  With g
+    the rational gcd of the contents, the integers k_e = c_e / g have gcd
+    1, so the integer parts k_e * z_e join into a primitive one."""
+    live = [(e, c) for e, c in enumerate(coeffs) if c.z]
+    n = gcd(*(c.c.numerator for _, c in live))
+    d = lcm(*(c.c.denominator for _, c in live))
     out = {}
-    for e, c in enumerate(coeffs):
+    for e, c in live:
+        k = c.c.numerator // n * (d // c.c.denominator)
         x = ((var, e),) if e else ()
-        for m, q in c.terms.items():
-            out[mono_mul(m, x)] = q
-    return Poly(out)
+        for m, v in c.z.items():
+            out[mono_mul(m, x)] = k * v
+    return from_ints(n, d, out)
 
 
 def _uni_dense(p: Poly):
-    """Dense view of a polynomial in at most one variable, as Fractions."""
-    out = []
-    for m, c in p.terms.items():
-        e = m[0][1] if m else 0
-        if e >= len(out):
-            out.extend([_ZERO] * (e + 1 - len(out)))
-        out[e] = c
+    """The integer part of a polynomial in at most one variable, as a list
+    of ints indexed by power."""
+    out = [0] * (max(m[0][1] if m else 0 for m in p.z) + 1)
+    for m, v in p.z.items():
+        out[m[0][1] if m else 0] = v
     return out
 
 
-def _uni_join(coeffs, var) -> Poly:
-    """Inverse of _uni_dense."""
-    return Poly({((var, e),) if e else (): c for e, c in enumerate(coeffs) if c})
-
-
-def _uni_divmod(a, b):
-    """Quotient and remainder of Fraction dense views a by b over Q; the
-    remainder is a, reduced in place, with its top entry nonzero."""
-    db, lb = len(b) - 1, b[-1]
-    quotient = [_ZERO] * max(len(a) - db, 0)
-    while len(a) > db:
-        f = a.pop() / lb
-        off = len(a) - db
-        quotient[off] = f
-        for i in range(db):
-            a[off + i] -= f * b[i]
-        while a and not a[-1]:
-            a.pop()
-    return quotient, a
-
-
 def _uni_gcd(a, b, var) -> Poly:
-    """Euclidean gcd over Q of two Fraction dense views."""
+    """Monic gcd of two primitive int dense views by the primitive PRS:
+    a, b <- b, pp(prem(a, b)), where each step scales the remainder by
+    lc(b)/g and its top entry by 1/g, g their gcd."""
     while b:
-        a, b = b, _uni_divmod(a, b)[1]
-    return _uni_join([c / a[-1] for c in a], var)
+        db, lb = len(b) - 1, b[-1]
+        while len(a) > db:
+            lr = a.pop()
+            g = gcd(lr, lb)
+            f, s = lb // g, lr // g
+            off = len(a) - db
+            if f != 1:
+                a = [f * x for x in a]
+            for i in range(db):
+                a[off + i] -= s * b[i]
+            while a and not a[-1]:
+                a.pop()
+        if a:
+            g = gcd(*a)
+            a = [x // g for x in a]
+        a, b = b, a
+    return from_ints(1, a[-1], {((var, e),) if e else (): v for e, v in enumerate(a) if v})
 
 
 def _primitive(coeffs):
@@ -329,22 +382,12 @@ def _point(v) -> int:
 
 
 def _image(p: Poly, var):
-    """p mod _P as a polynomial in var, every other variable at its point:
-    residues indexed by power up to deg_var(p), or None when a
-    coefficient's denominator vanishes mod _P."""
-    out = {}
-    for m, c in p.terms.items():
-        if c.denominator % _P == 0:
-            return None
-        r = c.numerator * pow(c.denominator, -1, _P) % _P
-        e = 0
-        for v, k in m:
-            if v == var:
-                e = k
-            else:
-                r = r * pow(_point(v), k, _P) % _P
-        out[e] = (out.get(e, 0) + r) % _P
-    return [out.get(e, 0) for e in range(max(out) + 1)]
+    """p's integer part mod _P as a polynomial in var, every other
+    variable at its point: residues indexed by power up to deg_var(p)."""
+    return [
+        sum(v * prod(pow(_point(u), k, _P) for u, k in m) for m, v in b.items()) % _P
+        for b in _buckets(p.z, var)
+    ]
 
 
 def _mod_gcd_degree(a, b) -> int:
@@ -366,11 +409,11 @@ def _mod_gcd_degree(a, b) -> int:
 def _coprime(p: Poly, q: Poly) -> bool:
     """True only when gcd(p, q) = 1, shown by word-prime images (see the
     module docstring); the gcd has no variable that p or q lacks.  False
-    means undecided: a denominator or both leading coefficients vanish
-    mod _P, or the images share a root."""
+    means undecided: both leading coefficients vanish mod _P, or the
+    images share a root."""
     for x in p.variables() & q.variables():
         a, b = _image(p, x), _image(q, x)
-        if a is None or b is None or not (a[-1] or b[-1]):
+        if not (a[-1] or b[-1]):
             return False
         while a and not a[-1]:
             a.pop()
@@ -414,9 +457,7 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
 def poly_lcm(p: Poly, q: Poly) -> Poly:
     if p.is_zero() or q.is_zero():
         return Poly.zero()
-    g = poly_gcd(p, q)
-    quotient = divexact(p, g)
-    return (quotient * q).monic()
+    return (divexact(p, poly_gcd(p, q)) * q).monic()
 
 
 def divexact(p: Poly, q: Poly):
@@ -424,21 +465,35 @@ def divexact(p: Poly, q: Poly):
 
     Long division on the dense views in q's least variable: each entry of
     the quotient is an exact quotient by q's top entry, which is free of
-    that variable.  When q has one variable and p no other, the entries
-    are Fractions.
+    that variable.  When q has one variable and p no other, it divides
+    the integer parts, whose quotient is integral if it exists, so it
+    stops at the first top entry that the divisor's does not divide.
     """
     if q.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     if p.is_zero():
-        return Poly()
+        return Poly.zero()
     if q.is_const():
-        c = q.const_value()
-        return p if c == 1 else p.scale(1 / c)  # a Poly is never mutated
+        return p if q.c == 1 else _new(p.c / q.c, p.z)  # a Poly is never mutated
     vs = q.variables()
     var = min(vs)
     if len(vs) == 1 and p.variables() <= vs:
-        quotient, rest = _uni_divmod(_uni_dense(p), _uni_dense(q))
-        return None if rest else _uni_join(quotient, var)
+        a, b = _uni_dense(p), _uni_dense(q)
+        db, lb = len(b) - 1, b[-1]
+        quotient = [0] * max(len(a) - db, 0)
+        while len(a) > db:
+            f, rest = divmod(a.pop(), lb)
+            if rest:
+                return None
+            off = len(a) - db
+            quotient[off] = f
+            for i in range(db):
+                a[off + i] -= f * b[i]
+        if any(a):
+            return None
+        c = p.c / q.c
+        quotient = {((var, e),) if e else (): v for e, v in enumerate(quotient) if v}
+        return from_ints(c.numerator, c.denominator, quotient)
     a, b = dense(p, var), dense(q, var)
     db, lb = len(b) - 1, b[-1]
     quotient = []
@@ -455,23 +510,15 @@ def divexact(p: Poly, q: Poly):
     return _join(quotient[::-1], var)
 
 
-def _fraction_sqrt(q: Fraction):
-    if q < 0:
-        return None
-    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
 def poly_sqrt(p: Poly):
     """Exact square root in Q[a1, ...] with positive leading coefficient,
     or None when p is not a perfect square."""
     if p.is_zero():
         return Poly()
     if p.is_const():
-        r = _fraction_sqrt(p.const_value())
-        return Poly.const(r) if r is not None else None
+        n, d = p.c.numerator, p.c.denominator
+        rn, rd = isqrt(max(n, 0)), isqrt(d)
+        return Poly.const(Fraction(rn, rd)) if rn * rn == n and rd * rd == d else None
     var = min(p.variables())
     dec = dense(p, var)
     n = len(dec) - 1
@@ -489,8 +536,8 @@ def poly_sqrt(p: Poly):
             j = m + k - i
             if j < i:
                 continue
-            prod = r[i] * r[j]
-            acc = acc - (prod.scale(2) if i != j else prod)
+            rij = r[i] * r[j]
+            acc = acc - (rij.scale(2) if i != j else rij)
         rk = divexact(acc, two_top)
         if rk is None:
             return None

@@ -1,4 +1,6 @@
+import os
 import random
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -706,6 +708,34 @@ def test_puiseux_branch_count_and_multiplicity_split():
     assert newton_puiseux(q, 4, branch_count=0) == []
     with pytest.raises(PreconditionError, match="branch count must be nonnegative, got -1"):
         newton_puiseux(q, 4, branch_count=-1)
+
+
+def test_puiseux_memory_does_not_keep_the_ancestors_polynomials():
+    """Each node of a branch lets go of its shifted polynomial before its
+    last child descends, so at prec 600 the one deep branch of y^2 - y + t
+    stays far under the ~100 MB that keeping every ancestor's takes."""
+    code = (
+        "import resource, sys\n"
+        "from hahnseries.cli import main\n"
+        "assert main(['--prec', '600', 'puiseux', 'y^2 - y + t']) == 0\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    # a spawned process starts with its parent's peak resident size in
+    # ru_maxrss, so the child is started from a small interpreter
+    child = [sys.executable, "-c", code]
+    outer = f"import subprocess, sys; sys.exit(subprocess.run({child!r}).returncode)"
+    done = subprocess.run(
+        [sys.executable, "-c", outer],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    peak_kb = int(done.stderr.split()[-1])
+    if sys.platform == "darwin":
+        peak_kb //= 1024  # ru_maxrss is in bytes there
+    assert peak_kb < 60 * 1024, peak_kb
 
 
 def binomial_shift(q, c, mu):

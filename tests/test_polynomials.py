@@ -1,13 +1,17 @@
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hahnseries.polynomials import (
     Poly,
     _join,
     dense,
     divexact,
+    grlex_key,
     poly_gcd,
     poly_lcm,
     poly_sqrt,
@@ -436,10 +440,133 @@ def test_certificate_falls_back_when_images_share_a_root():
     assert poly_gcd(p, q) == one
 
 
-def test_certificate_skips_denominators_divisible_by_the_prime():
+def test_certificate_skips_leading_coefficients_divisible_by_the_prime():
     import hahnseries.polynomials as P
 
-    tiny = Poly.const(Fraction(1, P._P))
-    assert not P._coprime(a1 + tiny, a1 + one)
-    assert poly_gcd(a1 + tiny, a1 + one) == one
+    # integer parts have no denominators; the undecided case left is both
+    # leading coefficients in a1 vanishing mod _P, here as multiples of it
+    big = a1.scale(P._P)
+    p, q = big + one, big * a1 + a1 + Poly.const(2)
+    assert not P._coprime(p, q)
+    assert poly_gcd(p, q) == one
+    h = big + one
+    p, q = h * (a1 + Poly.const(2)), h * (a1 - Poly.const(3))
+    assert not P._coprime(p, q)
+    assert poly_gcd(p, q) == h.monic() == a1 + Poly.const(Fraction(1, P._P))
     assert poly_gcd(a1 * a2, a3 + one) == one  # no shared variable
+
+
+# -- the canonical form against plain dicts of Fractions ---------------------------
+
+
+monomials = st.tuples(*[st.integers(0, 2)] * 3).map(
+    lambda es: tuple((v, e) for v, e in zip((1, 2, 3), es) if e)
+)
+fractions = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+term_dicts = st.dictionaries(monomials, fractions, max_size=5)
+
+
+def _clean(d):
+    return {m: q for m, q in d.items() if q}
+
+
+def _ref_sum(a, b, sign=1):
+    out = dict(a)
+    for m, q in b.items():
+        out[m] = out.get(m, 0) + sign * q
+    return _clean(out)
+
+
+def _ref_mul(a, b):
+    out = Counter()
+    for m1, q1 in a.items():
+        for m2, q2 in b.items():
+            out[tuple(sorted((Counter(dict(m1)) + Counter(dict(m2))).items()))] += q1 * q2
+    return _clean(out)
+
+
+def _ref_subs(a, var, q):
+    out = Counter()
+    for m, c in a.items():
+        powers = dict(m)
+        e = powers.pop(var, 0)
+        out[tuple(sorted(powers.items()))] += c * q**e
+    return _clean(out)
+
+
+def _canonical(p):
+    """p is (0, {}) or a nonzero Fraction content times a primitive integer
+    part whose value at its least monomial is positive."""
+    assert type(p.c) is Fraction
+    if not p.z:
+        assert p.c == 0
+        return p
+    assert p.c != 0 and all(type(v) is int and v for v in p.z.values())
+    assert gcd(*p.z.values()) == 1 and p.z[min(p.z)] > 0
+    return p
+
+
+def _same(x, y):
+    assert x.c == y.c and x.z == y.z and hash(x) == hash(y)
+
+
+@given(term_dicts, term_dicts, fractions)
+def test_ring_operations_match_fraction_dicts(a, b, q):
+    p, r = Poly(a), Poly(b)
+    a, b = _clean(a), _clean(b)
+    assert _canonical(p).terms == a
+    assert _canonical(p + r).terms == _ref_sum(a, b)
+    assert _canonical(p - r).terms == _ref_sum(a, b, -1)
+    assert _canonical(p * r).terms == _ref_mul(a, b)
+    assert _canonical(-p).terms == {m: -c for m, c in a.items()}
+    assert _canonical(p.scale(q)).terms == _clean({m: c * q for m, c in a.items()})
+    if a:
+        lc = a[max(a, key=grlex_key)]
+        assert _canonical(p.monic()).terms == {m: c / lc for m, c in a.items()}
+    for var in (1, 2, 3):
+        assert _canonical(p.subs_var(var, q)).terms == _ref_subs(a, var, q)
+
+
+@given(term_dicts, term_dicts)
+def test_exact_division_of_planted_products(a, b):
+    p, r = Poly(a), Poly(b)
+    if r.is_zero():
+        return
+    prod = p * r
+    _same(_canonical(divexact(prod, r)), p)
+    if not r.is_const():
+        # r divides prod + 1 only if it divides 1
+        assert divexact(prod + Poly.one(), r) is None
+
+
+@given(term_dicts)
+def test_dense_view_round_trip(a):
+    p = Poly(a)
+    a = _clean(a)
+    for var in (1, 2, 3):
+        view = dense(p, var)
+        for e, entry in enumerate(view):
+            want = {
+                tuple((v, k) for v, k in m if v != var): c
+                for m, c in a.items()
+                if dict(m).get(var, 0) == e
+            }
+            assert _canonical(entry).terms == want
+        assert not view or not view[-1].is_zero()
+        _same(_canonical(_join(view, var)), p)
+
+
+@given(term_dicts, term_dicts, term_dicts)
+def test_equal_values_have_one_form(a, b, c):
+    p, r, s = Poly(a), Poly(b), Poly(c)
+    _same((p + r) * s, p * s + r * s)
+    _same(p - r, -(r - p))
+    _same(p * r, r * p)
+    built = Poly.zero()
+    for m, q in a.items():
+        built = built + Poly({m: q})
+    _same(built, p)
+    _same(p.scale(3).scale(Fraction(1, 3)), p)
+    for q in (0, 1, Fraction(-2, 3)):
+        _same(_canonical(Poly.const(q)), Poly({(): q}))
+        assert Poly.const(q).z == ({(): 1} if q else {})
