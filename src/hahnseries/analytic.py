@@ -29,7 +29,7 @@ from .errors import PrecisionError, PreconditionError
 from .exponents import Exponent, as_exponent, reach_count
 from .linalg import kernel_vector, rref
 from .polynomials import poly_sqrt
-from .series import SeriesPolynomial, TruncatedSeries, eval_poly, first_order
+from .series import SeriesPolynomial, TruncatedSeries, _merge, eval_poly, first_order
 
 __all__ = [
     "OneUnit",
@@ -170,9 +170,8 @@ def hensel_lift(q: SeriesPolynomial, r: TruncatedSeries, with_trace: bool = Fals
             slope = eval_poly(dq, x.truncate(cut - m))
         step = res.truncate(cut) * slope.inv()
         # exact terms: x stays known to the residual's precision, not cut
-        x = TruncatedSeries(
-            (*x.terms, *(-step).terms), min(x.prec, res.prec)
-        )
+        known = min(x.prec, res.prec)
+        x = TruncatedSeries._of(_merge(x.terms, (-step).terms, known), known)
         new_res = eval_poly(q, x)
         if new_res.terms and not new_res.terms[0][0] > m:
             raise PrecisionError("residual valuation failed to increase")

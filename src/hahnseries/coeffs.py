@@ -84,8 +84,10 @@ class Coefficient:
 
     @classmethod
     def const(cls, q) -> "Coefficient":
-        q = q if isinstance(q, Fraction) else Fraction(q)
-        return cls(Poly.const(q), Poly.one(), _canonical=True)
+        c = object.__new__(cls)  # canonical: q/1
+        c.num = Poly.const(q)
+        c.den = Poly.one()
+        return c
 
     @classmethod
     def alpha(cls, j) -> "Coefficient":

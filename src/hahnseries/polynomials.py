@@ -89,7 +89,7 @@ def from_ints(n, d, z) -> "Poly":
     in canonical form: the gcd of z's values moves into the content, and
     the value at min(z) becomes positive."""
     if not z:
-        return _new(_ZERO, {})
+        return _POLY_ZERO
     g = gcd(*z.values())
     if z[min(z)] < 0:
         g = -g
@@ -120,16 +120,16 @@ class Poly:
 
     @classmethod
     def zero(cls):
-        return _new(_ZERO, {})
+        return _POLY_ZERO
 
     @classmethod
     def one(cls):
-        return _new(_ONE, _UNIT)
+        return _POLY_ONE
 
     @classmethod
     def const(cls, q):
         q = q if isinstance(q, Fraction) else Fraction(q)
-        return _new(q, _UNIT) if q else _new(_ZERO, {})
+        return _new(q, _UNIT) if q else _POLY_ZERO
 
     @classmethod
     def variable(cls, j):
@@ -252,6 +252,11 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self})"
+
+
+# Poly.zero() and Poly.one(): a Poly is never mutated, so one of each serves
+_POLY_ZERO = _new(_ZERO, {})
+_POLY_ONE = _new(_ONE, _UNIT)
 
 
 def _sum(p: Poly, q: Poly, sign) -> Poly:

@@ -422,6 +422,18 @@ def test_hensel_root_needs_no_slope_inverse():
     assert hensel_lift(q, r) == r
 
 
+def test_hensel_corrections_merge_into_the_start():
+    # q = y^2 - (1 + t)^2: each start's t^1 or t^3 term is wrong, and the
+    # Newton correction lands on it, moving it (3t -> t) or cancelling it
+    q = SeriesPolynomial([-(ts({0: 1, 1: 1}, 8) * ts({0: 1, 1: 1}, 8)), ts({}, 8), one(8)])
+    for start in ({0: 1, 1: 3}, {0: 1, 1: 1, 3: 5}, {0: 1, 1: 3, 2: -1, 3: 5}):
+        r = ts(start, 8)
+        root = hensel_lift(q, r)
+        assert root == ts({0: 1, 1: 1}, 8), start
+        assert root.terms == TruncatedSeries(root.terms, root.prec).terms
+        assert _lift_outcome(hensel_lift, q, r) == _lift_outcome(_linear_hensel_lift, q, r)
+
+
 def _dense_quadratic(n):
     # (y - s)(y + 2) with s = 1 + 2t + 3t^2 + ... dense to t^n
     s = ts({k: k + 1 for k in range(n)}, n)

@@ -1,11 +1,14 @@
+import operator
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, chain, count, islice, repeat
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 
 from conftest import rand_coeff, rand_series
+from hahnseries import series as series_module
 from hahnseries.analytic import OneUnit, exp, log, unit_pow
 from hahnseries.coeffs import Coefficient, Place
 from hahnseries.errors import (
@@ -17,9 +20,14 @@ from hahnseries.errors import (
 )
 from hahnseries.exponents import Exponent, as_exponent, reach_count
 from hahnseries.series import (
+    DENSITY,
+    INT_BITS,
+    KRONECKER_TERMS,
     AtLeast,
     SeriesPolynomial,
     TruncatedSeries,
+    _indices,
+    _monoid_below,
     _t_power,
     eval_poly,
     first_order,
@@ -687,3 +695,242 @@ def test_product_matches_full_double_loop():
     assert nonzero > 250
     kinds = {(_all_rational(f), _all_rational(g)) for f, g in cases if isinstance(g, TruncatedSeries)}
     assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+
+# The Fraction kernels that the integer kernels replaced, kept as an
+# oracle: every term pair is one Fraction (or Coefficient) product and sum.
+
+
+def _fraction_lift(prec, *series):
+    exps = [prec] + [e for f in series for e, _ in f.terms]
+    grid = lcm(*{q.denominator for e in exps for q in e.coords})
+    values = [[c._value() for _, c in f.terms] for f in series]
+    plain = all(v is not None for vs in values for v in vs)
+    lifted = [[(_indices(e, grid), v if plain else c) for (e, c), v in zip(f.terms, vs)]
+              for f, vs in zip(series, values)]
+    return grid, plain, _indices(prec, grid), lifted
+
+
+def _fraction_drop(out, grid, plain, prec):
+    terms = tuple(
+        (Exponent._of(tuple(Fraction(k, grid) for k in e)),
+         Coefficient.const(c) if plain else c)
+        for e, c in sorted(out.items())
+        if (c if plain else not c.is_zero())
+    )
+    return TruncatedSeries._of(terms, prec)
+
+
+def _fraction_product(f, g):
+    g = f._coerce(g)
+    prec = min(f.prec + g.v_floor(), g.prec + f.v_floor())
+    grid, plain, cut, (lhs, rhs) = _fraction_lift(prec, f, g)
+    out = {}
+    for a, c1 in lhs:
+        room = tuple(map(operator.sub, cut, a))
+        if not rhs or not rhs[0][0] < room:
+            break
+        for b, c2 in rhs:
+            if not b < room:
+                break
+            e = tuple(map(operator.add, a, b))
+            s = out.get(e)
+            out[e] = c1 * c2 if s is None else s + c1 * c2
+    return _fraction_drop(out, grid, plain, prec)
+
+
+def _fraction_first_order(x, lam, q, mu):
+    zero = x.prec.scale(0)
+    if not x.prec > zero:
+        raise PreconditionError("argument precision must exceed 0")
+    if x.terms and not x.terms[0][0] > zero:
+        raise PreconditionError(f"v_min must be positive, got {x.terms[0][0]}")
+    if reach_count(x.v_floor(), x.prec) is None:
+        raise PrecisionError(
+            "precision unreachable by integer multiples of the valuation"
+        )
+    grid, plain, cut, (xs,) = _fraction_lift(x.prec, x)
+    support = _monoid_below([b for b, _ in xs], (0,) * x.rank, cut)
+    one = Fraction(1) if plain else Coefficient.one()
+    g = {support[0]: one * (1 - mu)} if mu != 1 else {}
+    xe = dict(xs)
+    j = x.v_floor().arch_class() - 1
+    for e in support[1:]:
+        ej = e[j]
+        acc = xe[e] * (mu * ej) if mu and e in xe else None
+        for b, xb in xs:
+            if b > e:
+                break
+            gd = g.get(tuple(map(operator.sub, e, b)))
+            if gd is None:
+                continue
+            w = q * b[j] - lam * (ej - b[j])
+            if w:
+                p = xb * gd * w
+                acc = p if acc is None else acc + p
+        if acc is not None and (acc if plain else not acc.is_zero()):
+            g[e] = acc * Fraction(1, ej)
+    return _fraction_drop(g, grid, plain, x.prec)
+
+
+K = KRONECKER_TERMS
+BIG = 10**61  # numerators and denominators of 60+ digits
+
+
+def _coefficients(rng, kind):
+    """A coefficient maker: small, all negative, 60+ digit numerators (all
+    negative too), equal and near the packing bound, denominators too far
+    apart for the integer form (see INT_BITS), or in Q(a1)."""
+    return {
+        "small": lambda: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6)),
+        "negative": lambda: -Fraction(rng.randint(1, 9), rng.randint(1, 6)),
+        "big": lambda: Fraction(rng.choice((-1, 1)) * rng.randint(BIG, 10 * BIG), rng.randint(1, 6)),
+        "big negative": lambda: -Fraction(rng.randint(BIG, 10 * BIG), rng.choice((1, 7, 1001))),
+        "extreme": lambda: Fraction(2**200 - 1),
+        "coprime": lambda: Fraction(rng.randint(1, 9), rng.randint(BIG, 10 * BIG)),
+        "symbolic": lambda: rand_coeff(rng, (1,), max_deg=1),
+    }[kind]
+
+
+def _run(rng, n, den, lo, step, coeff, prec=None):
+    """n terms on the grid 1/den from lo/den, step grid points apart on
+    average (1: dense), cut at prec (default: past the last term)."""
+    idx = sorted(rng.sample(range(n * step), n)) if step > 1 else range(n)
+    top = lo + n * step if prec is None else prec
+    return TruncatedSeries({Fraction(lo + i, den): coeff() for i in idx}, Fraction(top, den))
+
+
+def kernel_product_cases(rng):
+    """Factor pairs around the Kronecker cut-over: K - 1, K and K + 1 terms;
+    negative, zero and fractional exponents; one grid and mixed grids;
+    dense, sparse at the density limit and past it; every coefficient
+    kind; cuts inside the product; slots that cancel to zero."""
+    cases = product_cases(rng)
+    kinds = ("small", "negative", "big", "big negative", "extreme", "coprime", "symbolic")
+    for n in (K - 1, K, K + 1):
+        for kind in kinds:
+            coeff = _coefficients(rng, kind)
+            for den_f, den_g in ((1, 1), (2, 2), (3, 3), (2, 3), (1, 2)):
+                lo_f, lo_g = rng.choice((-3 * den_f, 0, 1)), rng.choice((-1, 0, den_g))
+                f = _run(rng, n, den_f, lo_f, 1, coeff)
+                g = _run(rng, n + rng.randint(0, 2), den_g, lo_g, 1, coeff)
+                cases.append((f, g))
+                # a cut inside the product: the second factor's precision set low
+                cases.append((f, _run(rng, n, den_g, lo_g, 1, coeff, prec=lo_g + rng.randint(1, n))))
+            for step in (DENSITY - 1, DENSITY, DENSITY + 1):
+                cases.append((_run(rng, n, 2, -1, step, coeff), _run(rng, n, 2, 1, step, coeff)))
+    for n in (K - 1, K, K + 1, 3 * K):
+        ones = TruncatedSeries({k: 1 for k in range(n)}, n)
+        cases.append((ones, TruncatedSeries({0: 1, 1: -1}, n)))  # 1 - t^n: zero slots
+        cases.append((ones, TruncatedSeries({k: (-1) ** k for k in range(n)}, n)))
+        cases.append((ones, ones.scalar_mul(-1)))
+        # every slot of the packed product at its bound: 200 + 199 bits of
+        # factors fill the slot width exactly, and n products add to that
+        wide = ones.scalar_mul(2**200 - 1)
+        cases.append((wide, ones.scalar_mul(2**199 - 1)))
+        cases.append((wide.scalar_mul(-1), ones.scalar_mul(2**199 - 1)))
+    return cases
+
+
+def _spy(monkeypatch, name):
+    """Calls to the series module's function name, recorded as it runs."""
+    calls, real = [], getattr(series_module, name)
+    monkeypatch.setattr(series_module, name, lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+@pytest.mark.parametrize("int_bits", [0, INT_BITS])
+def test_integer_product_matches_the_fraction_kernel(monkeypatch, int_bits):
+    """With INT_BITS at 0 every rational product with a denominator runs on
+    Fractions; at its value most run on integers, and the coprime cases
+    outgrow it."""
+    monkeypatch.setattr(series_module, "INT_BITS", int_bits)
+    rng = random.Random(8117)
+    cases = kernel_product_cases(rng)
+    assert len(cases) >= 700
+    packed, scaled = _spy(monkeypatch, "_kronecker"), _spy(monkeypatch, "_numerators")
+    paths = Counter()
+    for f, g in cases:
+        before = len(scaled)
+        got, want = f * g, _fraction_product(f, g)
+        assert got.terms == want.terms and got.prec == want.prec, (str(f), str(g))
+        if _all_rational(f) and _all_rational(f._coerce(g)):
+            paths["integers" if len(scaled) > before else "fractions"] += 1
+    if int_bits:
+        assert len(packed) > 60 and paths["integers"] > 400 and paths["fractions"] > 20
+        # the cut-over: dense rational factors of K terms take the packed product
+        for n, used in ((K - 1, False), (K, True), (K + 1, True)):
+            f = _run(rng, n, 2, 1, 1, _coefficients(rng, "big negative"))
+            packed.clear()
+            assert (f * f).terms == _fraction_product(f, f).terms
+            assert bool(packed) is used, n
+        f = _run(rng, K + 1, 1, 0, 1, _coefficients(rng, "symbolic"))
+        packed.clear()
+        assert (f * f).terms == _fraction_product(f, f).terms and not packed
+    else:
+        assert paths["fractions"] > 400, paths  # only D1 = D2 = 1 stays on integers
+
+
+KERNEL_EQUATIONS = [
+    (0, 1, 0),  # exp
+    (1, 0, 1),  # log
+    (1, -1, 0),  # 1/(1 + x)
+    (1, Fraction(-5, 3), 0),  # (1 + x)^(-5/3)
+    (Fraction(1, 2), Fraction(2, 3), Fraction(1, 3)),  # rational lam and mu
+    (2, 3, -1),
+]
+
+
+def kernel_first_order_cases(rng):
+    """Infinitesimals: the first_order oracle's cases, then long dense and
+    sparse ones with K - 1 to 3K terms, big and all-negative numerators,
+    fractional exponents, rank 2 and Q(a1) values."""
+    cases = oracle_cases(rng)
+    for n in (K - 1, K, K + 1, 3 * K):
+        for kind in ("small", "negative", "big", "big negative", "coprime", "symbolic"):
+            if n > K + 1 and kind in ("coprime", "symbolic"):
+                continue
+            coeff = _coefficients(rng, kind)
+            den = rng.choice((1, 2, 3))
+            cases.append(_run(rng, n, den, 1, 1, coeff))
+            cases.append(_run(rng, n // 2, den, 2, 3, coeff, prec=2 + n))
+    for _ in range(20):
+        coeff = _coefficients(rng, rng.choice(("big", "big negative", "coprime", "symbolic")))
+        data = {(Fraction(rng.randint(0, 1)), Fraction(rng.randint(-2, 3), rng.choice((1, 2)))): coeff()
+                for _ in range(rng.randint(1, 5))}
+        cases.append(TruncatedSeries({e: c for e, c in data.items() if e > (0, 0)}, (2, 0)))
+    return cases
+
+
+@pytest.mark.parametrize("int_bits", [0, INT_BITS])
+def test_integer_first_order_matches_the_fraction_kernel(monkeypatch, int_bits):
+    monkeypatch.setattr(series_module, "INT_BITS", int_bits)
+    rng = random.Random(6221)
+    cases = kernel_first_order_cases(rng)
+    assert len(cases) >= 350
+    scaled = _spy(monkeypatch, "_numerators")
+    paths = Counter()
+    for x in cases:
+        for lam, q, mu in KERNEL_EQUATIONS:
+            before = len(scaled)
+            got = outcome(lambda: first_order(x, lam, q, mu))
+            want = outcome(lambda: _fraction_first_order(x, lam, q, mu))
+            assert got == want, (str(x), lam, q, mu)
+            if isinstance(got, TruncatedSeries):
+                rational = _all_rational(x)
+                paths["integers" if len(scaled) > before else "fractions" if rational else "field"] += 1
+        if x.terms and x.prec > x.prec.scale(0):
+            u = x.shift_scale(1, -x.terms[0][0]).scalar_mul(Fraction(-3, 7))
+            assert outcome(u.inv) == outcome(lambda: _fraction_inv(u)), str(u)
+    assert sum(paths.values()) > 1200 and paths["field"] > 100, paths
+    if int_bits:
+        assert paths["integers"] > 1500 and paths["fractions"] > 25, paths
+    else:
+        assert paths["fractions"] > 1000, paths  # only s = c*D = 1 stays on integers
+
+
+def _fraction_inv(f):
+    v, c0 = f.terms[0]
+    c0_inv = Coefficient.one() / c0
+    unit = f.shift_scale(c0_inv, -v)
+    return _fraction_first_order(unit - 1, 1, -1, 0).shift_scale(c0_inv, -v)
