@@ -27,7 +27,6 @@ from math import lcm
 from .coeffs import Coefficient
 from .errors import PrecisionError, PreconditionError
 from .exponents import Exponent, as_exponent, reach_count
-from .linalg import kernel_vector, rref
 from .polynomials import poly_sqrt
 from .series import SeriesPolynomial, TruncatedSeries, _merge, eval_poly, first_order
 
@@ -42,6 +41,18 @@ __all__ = [
     "rational_reconstruct",
     "verify_root",
 ]
+
+
+def __getattr__(name):
+    # Only rational reconstruction eliminates, so linalg is imported when
+    # first needed; its names still read through this module, as linalg's
+    # current binding (a wrapper installed there, or the original).
+    if name in ("kernel_vector", "rref"):
+        from . import linalg
+
+        return getattr(linalg, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 HENSEL_STEPS = 10_000  # Newton steps of hensel_lift
 PUISEUX_STEPS = 2_000  # nodes of newton_puiseux's tree, one per root term
@@ -446,6 +457,8 @@ def rational_reconstruct(f: TruncatedSeries, deg_num: int, deg_den: int):
     Requires nonnegative degrees, rank 1 and, on the rescaled integer
     grid, prec > deg_num + deg_den + v_min(f).
     """
+    from .linalg import kernel_vector, rref
+
     if deg_num < 0 or deg_den < 0:
         raise PreconditionError(
             "degree bounds must be nonnegative: "

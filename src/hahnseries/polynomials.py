@@ -17,7 +17,7 @@ coefficients (polynomials in the other variables) by power, and
 ``_join`` is its inverse.  Most gcds the coefficient field asks for are
 1.  Gcd first tries a coprimality certificate, the first step of
 Brown's modular gcd (J. ACM 18, 1971): for each variable x of both
-inputs, the other variables go to fixed points modulo the prime
+inputs, the other variables go to fixed points (``modular``) mod the prime
 2^61 - 1, and a univariate gcd of degree 0 of the integer parts' images
 shows that x does not occur in the gcd.  This is sound: by Gauss's
 lemma the gcd h divides both integer parts in Z[a1, ...], so its image
@@ -36,7 +36,9 @@ supports quadratic initial forms.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, lcm
+
+from .modular import Powers, gcd_degree, value
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)  # a content of 1 built here is this object; __mul__ tests identity
@@ -378,53 +380,27 @@ def _prem(a, b):
     return r
 
 
-_P = (1 << 61) - 1  # a Mersenne prime that fits a 64-bit word
-
-
-def _point(v) -> int:
-    """The fixed residue mod _P at which the certificate evaluates a_v."""
-    return (v * 0x9E3779B97F4A7C15 + 0x632BE59BD9B4E019) % _P
-
-
-def _image(p: Poly, var):
-    """p's integer part mod _P as a polynomial in var, every other
-    variable at its point: residues indexed by power up to deg_var(p)."""
-    return [
-        sum(v * prod(pow(_point(u), k, _P) for u, k in m) for m, v in b.items()) % _P
-        for b in _buckets(p.z, var)
-    ]
-
-
-def _mod_gcd_degree(a, b) -> int:
-    """Degree of the gcd of two residue lists (top entries nonzero) mod _P."""
-    while b:
-        inv = pow(b[-1], -1, _P)
-        db = len(b) - 1
-        while len(a) > db:
-            f = a.pop() * inv % _P
-            off = len(a) - db
-            for i in range(db):
-                a[off + i] = (a[off + i] - f * b[i]) % _P
-            while a and not a[-1]:
-                a.pop()
-        a, b = b, a
-    return len(a) - 1
+def _image(p: Poly, var, powers):
+    """p's integer part mod P as a polynomial in var, every other
+    variable at its fixed point: residues indexed by power up to deg_var(p)."""
+    return [value(b, powers) for b in _buckets(p.z, var)]
 
 
 def _coprime(p: Poly, q: Poly) -> bool:
     """True only when gcd(p, q) = 1, shown by word-prime images (see the
     module docstring); the gcd has no variable that p or q lacks.  False
-    means undecided: both leading coefficients vanish mod _P, or the
+    means undecided: both leading coefficients vanish mod P, or the
     images share a root."""
+    powers = Powers()
     for x in p.variables() & q.variables():
-        a, b = _image(p, x), _image(q, x)
+        a, b = _image(p, x, powers), _image(q, x, powers)
         if not (a[-1] or b[-1]):
             return False
         while a and not a[-1]:
             a.pop()
         while b and not b[-1]:
             b.pop()
-        if _mod_gcd_degree(a, b) != 0:
+        if gcd_degree(a, b) != 0:
             return False
     return True
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import hahnseries.modular as M
 from hahnseries.polynomials import (
     Poly,
     _join,
@@ -407,8 +408,8 @@ def test_certificate_agrees_with_sympy_gcd(rng):
 def test_certificate_falls_back_when_leading_coefficients_vanish(monkeypatch):
     import hahnseries.polynomials as P
 
-    # lc in a1 of both is a2 - c, which vanishes at a2's point mod _P
-    c = Poly.const(P._point(2))
+    # lc in a1 of both is a2 - c, which vanishes at a2's point mod M.P
+    c = Poly.const(M.point(2))
     p = (a2 - c) * a1 + one
     q = (a2 - c) * a1 * a1 + a2
     assert not P._coprime(p, q)
@@ -419,7 +420,7 @@ def test_certificate_falls_back_when_leading_coefficients_vanish(monkeypatch):
     assert prems
     # h's leading coefficients in a1 and in a2 both vanish, so its images
     # are the constant 1, and the images of p and q are coprime
-    c1 = Poly.const(P._point(1))
+    c1 = Poly.const(M.point(1))
     h = (a1 - c1) * (a2 - c) + one
     p, q = h * (a1 + a2), h * (a1 - a2 + Poly.const(3))
     assert not P._coprime(p, q)
@@ -430,7 +431,7 @@ def test_certificate_falls_back_when_images_share_a_root():
     import hahnseries.polynomials as P
 
     # coprime, but a2 at its point makes both images a1 - c
-    c = Poly.const(P._point(2))
+    c = Poly.const(M.point(2))
     p, q = a1 - a2, a1 - c
     assert not P._coprime(p, q)
     assert poly_gcd(p, q) == one
@@ -444,15 +445,15 @@ def test_certificate_skips_leading_coefficients_divisible_by_the_prime():
     import hahnseries.polynomials as P
 
     # integer parts have no denominators; the undecided case left is both
-    # leading coefficients in a1 vanishing mod _P, here as multiples of it
-    big = a1.scale(P._P)
+    # leading coefficients in a1 vanishing mod M.P, here as multiples of it
+    big = a1.scale(M.P)
     p, q = big + one, big * a1 + a1 + Poly.const(2)
     assert not P._coprime(p, q)
     assert poly_gcd(p, q) == one
     h = big + one
     p, q = h * (a1 + Poly.const(2)), h * (a1 - Poly.const(3))
     assert not P._coprime(p, q)
-    assert poly_gcd(p, q) == h.monic() == a1 + Poly.const(Fraction(1, P._P))
+    assert poly_gcd(p, q) == h.monic() == a1 + Poly.const(Fraction(1, M.P))
     assert poly_gcd(a1 * a2, a3 + one) == one  # no shared variable
 
 

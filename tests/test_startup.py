@@ -73,6 +73,7 @@ def test_exp_loads_no_valuation_spaces_and_no_dataclasses():
     modules = imported(cli_main(["--prec", "5", "exp", "t"]))
     assert "hahnseries.analytic" in modules
     assert "hahnseries.valuation_spaces" not in modules
+    assert "hahnseries.linalg" not in modules
     assert "dataclasses" not in modules
 
 
@@ -95,6 +96,8 @@ def test_series_subcommands_load_no_valuation_spaces_and_no_dataclasses(name):
     assert f"hahnseries.{SERIES_COMMANDS[name]}" in modules
     assert "hahnseries.valuation_spaces" not in modules
     assert "dataclasses" not in modules
+    # only rational reconstruction eliminates
+    assert ("hahnseries.linalg" in modules) == (name == "ratrec")
 
 
 def test_every_exported_name_is_its_submodules_object():

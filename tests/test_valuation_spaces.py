@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 
@@ -617,6 +619,216 @@ def test_span_helpers_on_empty_and_zero_input(monkeypatch):
     assert in_span(zero, [], ()) == []
     assert in_span(zero, [a1, a2], ()) == [zero, zero]
     assert in_span(a1, [], ()) is None
+
+
+# -- the rank certificate against elimination alone ----------------------------
+
+
+def _rref_by_coefficients(rows):
+    """Gauss-Jordan elimination on Coefficients alone: the reference for
+    linalg.rref, which eliminates constant matrices on Fractions."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    r = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(r, nrows) if not rows[i][col].is_zero()), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = Coefficient.one() / rows[r][col]
+        rows[r] = [c * inv for c in rows[r]]
+        for i in range(nrows):
+            if i != r and not rows[i][col].is_zero():
+                factor = rows[i][col]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == nrows:
+            break
+    return rows[:r], pivots
+
+
+def _oracle_null_combination(elements, scalar_vars):
+    """null_combination by elimination alone, with no certificate."""
+    from hahnseries.linalg import _expand_columns, kernel_vector
+
+    if not elements:
+        return None
+    rows = _expand_columns(elements, scalar_vars)
+    return kernel_vector(*_rref_by_coefficients(rows), len(elements))
+
+
+def _oracle_in_span(target, elements, scalar_vars):
+    """in_span by elimination alone, with no certificate."""
+    from hahnseries.linalg import _expand_columns
+
+    if target.is_zero():
+        return [Coefficient.zero()] * len(elements)
+    if not elements:
+        return None
+    rows = _expand_columns(list(elements) + [target], scalar_vars)
+    n = len(elements)
+    reduced, pivots = _rref_by_coefficients(rows)
+    if n in pivots:
+        return None
+    sol = [Coefficient.zero()] * n
+    for row, pc in zip(reduced, pivots):
+        sol[pc] = row[n]
+    return sol
+
+
+def _scalar(rng, scalar_vars):
+    """A random nonzero element of Q(a_Y)."""
+    if scalar_vars and rng.random() < 0.7:
+        return rand_coeff(rng, tuple(scalar_vars), max_deg=1)
+    return Coefficient.const(rand_fraction(rng) or 1)
+
+
+def _pole(rng, variables, scalar_vars, n):
+    """A random element whose denominator vanishes at one of the
+    certificate's points for a family of n: a_v - point(v, row)."""
+    from hahnseries.modular import point
+    from hahnseries.polynomials import Poly
+
+    v = rng.choice(variables)
+    row = 0 if v in scalar_vars else rng.randint(1, n)
+    den = Poly.variable(v) - Poly.const(point(v, row))
+    return Coefficient(rand_coeff(rng, variables, allow_den=False).num, den)
+
+
+KINDS = ("independent", "dependent", "constants", "zero", "pole")
+
+
+def _family(rng, kind):
+    """(elements, scalar vars) of a seeded family of the given kind."""
+    scalar_vars = rng.choice(((), (1,)))
+    # a pole's 61-bit constant makes sums costly to cancel in three
+    # variables, where the gcd has only the primitive PRS
+    variables = (1, 2) if kind == "pole" else rng.choice(((1, 2), (1, 2, 3)))
+    n = rng.randint(1, 3 if kind == "pole" else 5)
+    if kind == "constants":
+        return [Coefficient.const(rand_fraction(rng)) for _ in range(n)], scalar_vars
+    family = [rand_coeff(rng, variables) for _ in range(n)]
+    if kind == "zero":
+        family[rng.randrange(n)] = Coefficient.zero()
+    elif kind == "pole":
+        family[rng.randrange(n)] = _pole(rng, variables, scalar_vars, n + 1)
+    if kind in ("dependent", "pole") and rng.random() < 0.7:
+        combo = Coefficient.zero()
+        for x in family:
+            combo = combo + _scalar(rng, scalar_vars) * x
+        family.insert(rng.randint(0, n), combo)
+    return family, scalar_vars
+
+
+def certificate_against_elimination(seed, families=300):
+    """Compare null_combination and in_span with elimination alone on
+    seeded families of every kind, and return how the certificate went:
+    {"decided": n, "undecided": n, "independent": n, "dependent": n}.
+    Every family that elimination finds independent, with no denominator
+    vanishing at the points, must be decided by the certificate."""
+    import hahnseries.linalg as linalg
+
+    rng = random.Random(seed)
+    counts = Counter()
+    for k in range(families):
+        kind = KINDS[k % len(KINDS)]
+        family, scalar_vars = _family(rng, kind)
+        want = _oracle_null_combination(family, scalar_vars)
+        got = null_combination(family, scalar_vars)
+        assert got == want, (seed, k, kind, family, scalar_vars)
+        decided = linalg._independent(family, scalar_vars)
+        counts["decided" if decided else "undecided"] += 1
+        counts["independent" if want is None else "dependent"] += 1
+        assert not decided or want is None, (seed, k, family)
+        if want is None and kind != "pole":
+            assert decided, ("certificate undecided", seed, k, family, scalar_vars)
+        # a target inside the span, one outside it (most likely), and zero
+        inside = Coefficient.zero()
+        for x in family:
+            inside = inside + _scalar(rng, scalar_vars) * x
+        outside = rand_coeff(rng, (1, 2, 3))
+        for target in (inside, outside, Coefficient.zero()):
+            want = _oracle_in_span(target, family, scalar_vars)
+            assert in_span(target, family, scalar_vars) == want, (seed, k, family, target)
+    return counts
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_rank_certificate_agrees_with_elimination(seed):
+    counts = certificate_against_elimination(seed)
+    # both ways out of the certificate are taken, on both kinds of family
+    assert counts["decided"] > 60 and counts["undecided"] > 60, counts
+    assert counts["independent"] > 60 and counts["dependent"] > 60, counts
+
+
+def test_rank_certificate_needs_hashed_points():
+    import hahnseries.linalg as linalg
+
+    # 1, a1 and a2 take linearly related values at points affine in the row
+    family = [Coefficient.const(-1), a1.scale(Fraction(-5, 2)), -a2]
+    assert linalg._independent(family, ())
+    assert not linalg._independent(family + [a1 - a2], ())
+    assert linalg._independent([a1, a1 * a2, a1 * a1 * a2 / (a2 + 1)], (1,))
+    assert not linalg._independent([a1, a1 * a1, a2], (1,))
+
+
+def test_rank_certificate_falls_back_when_a_denominator_vanishes(monkeypatch):
+    import hahnseries.linalg as linalg
+    from hahnseries.modular import point
+    from hahnseries.polynomials import Poly
+
+    pole = Coefficient(Poly.one(), Poly.variable(2) - Poly.const(point(2, 1)))
+    # independent over Q, but a2 hits the pole in the first row
+    family = [pole, a2]
+    assert not linalg._independent(family, ())
+    eliminated = []
+    real = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda rows: eliminated.append(1) or real(rows))
+    assert null_combination(family, ()) is None and eliminated
+    # dependent: with the pole's row misread, the rows would show full rank
+    family = [pole, a2, pole + a2]
+    assert null_combination(family, ()) == _oracle_null_combination(family, ())
+    # over Q(a1) a pole in a1 vanishes in every row
+    pole = Coefficient(Poly.variable(2), Poly.variable(1) - Poly.const(point(1)))
+    assert not linalg._independent([pole, a2 * a2], (1,))
+    assert null_combination([pole, a2 * a2], (1,)) is None
+
+
+def test_single_elements_need_no_elimination(monkeypatch):
+    import hahnseries.linalg as linalg
+
+    def no_elimination(*_):
+        raise AssertionError("one nonzero element needs no elimination")
+
+    monkeypatch.setattr(linalg, "rref", no_elimination)
+    for x in (Coefficient.const(3), a1, (a1 + 1) / a2):
+        assert null_combination([x], ()) is None
+        assert null_combination([x], (1, 2)) is None
+    monkeypatch.undo()
+    assert null_combination([Coefficient.zero()], ()) == [Coefficient.one()]
+
+
+def test_rref_on_fractions_matches_coefficient_elimination(rng):
+    from hahnseries.linalg import rref
+
+    for _ in range(200):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        variables = rng.choice(((), (1,)))
+        rows = [
+            [
+                Coefficient.zero()
+                if rng.random() < 0.3
+                else (rand_coeff(rng, variables) if variables else Coefficient.const(rand_fraction(rng)))
+                for _ in range(ncols)
+            ]
+            for _ in range(nrows)
+        ]
+        got, want = rref(rows), _rref_by_coefficients(rows)
+        assert got == want
+        assert [[repr(c.num.c) for c in r] for r in got[0]] == [[repr(c.num.c) for c in r] for r in want[0]]
 
 
 def test_chain_union_independent():
