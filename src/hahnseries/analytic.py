@@ -23,12 +23,28 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import add, sub
 
 from .coeffs import Coefficient
 from .errors import PrecisionError, PreconditionError
-from .exponents import Exponent, as_exponent, reach_count
+from .exponents import Exponent, as_exponent
 from .polynomials import poly_sqrt
-from .series import SeriesPolynomial, TruncatedSeries, _merge, eval_poly, first_order
+from .series import (
+    SeriesPolynomial,
+    TruncatedSeries,
+    _add,
+    _drop,
+    _horner,
+    _inv,
+    _Lift,
+    _lift_poly,
+    _mul,
+    _reach_class,
+    _truncate,
+    _v_min,
+    eval_poly,
+    first_order,
+)
 
 __all__ = [
     "OneUnit",
@@ -151,48 +167,53 @@ def hensel_lift(q: SeriesPolynomial, r: TruncatedSeries, with_trace: bool = Fals
     trace) when with_trace is set.  More than HENSEL_STEPS steps raise
     PrecisionError: a polynomial outside the valuation ring may converge
     without doubling.
+
+    q and r are lifted once, onto the grid of all their exponents and
+    precisions: every exponent the iteration forms is a sum or difference
+    of those.  The whole loop runs on the lifted values (series._Lift),
+    rational ones as integer numerators over a common denominator that
+    each product and sum reduces, and the root is wrapped once.  Each
+    evaluation has the precision of eval_poly, and each step that of the
+    public operations it stands for.
     """
-    zero = r.prec.scale(0)
-    dq = q.derivative()
-    slope = eval_poly(dq, r)
-    if not slope.terms or slope.terms[0][0] != zero:
+    grid, (*cs, x) = _lift_poly(q.coeffs, r)
+    dq = [_Lift(c.den, {e: k * i for e, k in c.terms.items()}, c.prec)
+          for i, c in enumerate(cs) if i]
+    zero = (0,) * len(x.prec)
+    slope = _horner(dq, x)
+    if next(iter(slope.terms), None) != zero:
         raise PreconditionError(
-            f"v_min(Q'(r)) = {slope.v_min()} is not zero"
+            f"v_min(Q'(r)) = {_v_min(slope, grid)} is not zero"
         )
-    res = eval_poly(q, r)
-    if res.terms and not res.terms[0][0] > zero:
+    res = _horner(cs, x)
+    if res.terms and not next(iter(res.terms)) > zero:
         raise PreconditionError(
-            f"v_min(Q(r)) = {res.terms[0][0]} is not positive"
+            f"v_min(Q(r)) = {_v_min(res, grid)} is not positive"
         )
     # at rank > 1 the doubling can stall inside one archimedean class
-    if res.terms and reach_count(res.terms[0][0], r.prec) is None:
+    if res.terms and _reach_class(next(iter(res.terms)), x.prec) is None:
         raise PrecisionError(
             "precision unreachable from the initial residual valuation"
         )
-    x = r
-    trace = [res.v_min()]
-    steps = 0
+    trace = [_v_min(res, grid)]
     while res.terms:
-        if steps >= HENSEL_STEPS:
+        if len(trace) > HENSEL_STEPS:
             raise PrecisionError(f"no convergence within {HENSEL_STEPS} steps")
-        m = res.terms[0][0]
-        cut = min(res.prec, m + m)
-        if steps:
-            slope = eval_poly(dq, x.truncate(cut - m))
-        step = res.truncate(cut) * slope.inv()
+        m = next(iter(res.terms))
+        cut = min(res.prec, tuple(map(add, m, m)))
+        if len(trace) > 1:
+            slope = _horner(dq, _truncate(x, tuple(map(sub, cut, m))))
+        step = _mul(_truncate(res, cut), _inv(slope))
         # exact terms: x stays known to the residual's precision, not cut
-        known = min(x.prec, res.prec)
-        x = TruncatedSeries._of(_merge(x.terms, (-step).terms, known), known)
-        new_res = eval_poly(q, x)
-        if new_res.terms and not new_res.terms[0][0] > m:
+        x = _add(x, step, min(x.prec, res.prec), -1)
+        res = _horner(cs, x)
+        if res.terms and not next(iter(res.terms)) > m:
             raise PrecisionError("residual valuation failed to increase")
-        res = new_res
-        trace.append(res.v_min())
-        steps += 1
-    x = x.truncate(res.prec)
+        trace.append(_v_min(res, grid))
+    root = _drop(_truncate(x, res.prec), grid)
     if with_trace:
-        return x, trace
-    return x
+        return root, trace
+    return root
 
 
 def _prime_factors(n: int):

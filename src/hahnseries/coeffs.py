@@ -298,7 +298,10 @@ class Place(Record):
 
 
 def _finite_den(c: Coefficient, place: Place):
-    """The denominator of c under the place, or None at a pole."""
+    """The denominator of c under the place, or None at a pole; c's own
+    when it does not hold the variable."""
+    if place.var not in c.den.variables():
+        return c.den
     den = c.den.subs_var(place.var, place.q)
     return None if den.is_zero() else den
 
@@ -309,7 +312,10 @@ def apply_place(c: Coefficient, place: Place):
     The input is canonical, so numerator and denominator share no factor
     and at most one of them can vanish identically under the
     substitution; the map is a ring homomorphism wherever it is finite.
+    An element without the variable is its own image.
     """
+    if place.var not in c.variables():
+        return c
     den = _finite_den(c, place)
     if den is None:
         return INFINITE

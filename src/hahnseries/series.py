@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from operator import add, sub
 
 from .coeffs import INFINITE, Coefficient, Place, apply_place, as_coefficient
@@ -22,7 +22,7 @@ from .errors import (
     PreconditionError,
     RankMismatchError,
 )
-from .exponents import Exponent, Record, as_exponent, reach_count
+from .exponents import Exponent, Record, as_exponent
 
 __all__ = [
     "TruncatedSeries",
@@ -176,61 +176,19 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         """The product, known below prec = min(self.prec + other.v_floor(),
-        other.prec + self.v_floor()).
-
-        The lexicographic order is a group order, so e1 + e2 < prec exactly
-        when e2 < prec - e1.  Both term lists increase strictly: the first
-        e2 at or past prec - e1 ends the row, as every later e2 is cut too,
-        and a row whose first pair is cut ends the product, as every later
-        e1 is larger.  Exponents are added as integer index tuples on the
-        common grid of both factors and prec, and rational coefficients as
-        integer numerators over each factor's common denominator, D1 and D2
-        (see _lift): the loop forms no Fraction, and each kept term is the
-        one Fraction k/(D1*D2).  When log2(D1*D2) exceeds INT_BITS the
-        numerators outgrow the coefficients they stand for (large coprime
-        denominators), and the loop runs on the Fractions themselves.
-
-        At rank 1, two such integer lists of at least KRONECKER_TERMS terms
-        each, filling at least 1/DENSITY of their index ranges, are
-        multiplied by Kronecker substitution instead (see _kronecker): one
-        big-integer product in place of the double loop.  The cut-over is
-        measured on whole products (Python 3.11, 2 cores): two dense factors
-        of n terms on one grid take 78/76 us by the loop/packed at n = 8,
-        162/128 us at n = 16 and 424/235 us at n = 32; at a quarter of
-        the density, or with the cut at n/2, the two meet at n = 16.
+        other.prec + self.v_floor()): one _lift, the kernel _mul, one _drop.
         """
         other = self._coerce(other)
-        prec = min(self.prec + other.v_floor(), other.prec + self.v_floor())
-        grid, plain, cut, ((d1, lhs), (d2, rhs)) = _lift(prec, self, other)
-        den = None
-        if plain and (d1 * d2).bit_length() - 1 <= INT_BITS:
-            lhs, rhs, den = _numerators(lhs, d1), _numerators(rhs, d2), lambda e: d1 * d2
-            if len(cut) == 1 and _packable(lhs) and _packable(rhs):
-                return _drop(_kronecker(lhs, rhs, cut[0]), grid, prec, plain, den)
-        out = {}
-        for a, c1 in lhs:
-            room = tuple(map(sub, cut, a))
-            if not rhs or not rhs[0][0] < room:
-                break
-            for b, c2 in rhs:
-                if not b < room:
-                    break
-                e = tuple(map(add, a, b))
-                s = out.get(e)
-                out[e] = c1 * c2 if s is None else s + c1 * c2
-        return _drop(out, grid, prec, plain, den)
+        grid, (a, b) = _lift(self, other)
+        return _drop(_mul(a, b), grid)
 
     __rmul__ = __mul__
 
     def inv(self) -> "TruncatedSeries":
-        """Multiplicative inverse; f * f.inv() = 1 to precision prec - v_min."""
-        if not self.terms:
-            raise PreconditionError("cannot invert a series that is zero at precision")
-        v, c0 = self.terms[0]
-        c0_inv = Coefficient.one() / c0
-        # 1/u = (1 + x)^(-1) for the 1-unit u = 1 + x, known modulo prec - v
-        unit = self.shift_scale(c0_inv, -v)
-        return first_order(unit - 1, 1, -1, 0).shift_scale(c0_inv, -v)
+        """Multiplicative inverse; f * f.inv() = 1 to precision prec - v_min.
+        One lift, with the leading coefficient folded into it (see _inv)."""
+        grid, (x,) = _lift(self)
+        return _drop(_inv(x), grid)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -379,14 +337,15 @@ def specialize_poly(q: SeriesPolynomial, place: Place) -> SeriesPolynomial:
 
 
 def eval_poly(q, f: TruncatedSeries) -> TruncatedSeries:
-    """Horner evaluation of a series polynomial at a series."""
+    """Horner evaluation of a series polynomial at a series: acc * f + c
+    per coefficient, each step with the precision of those operations, on
+    one lift (see _horner).  A scalar coefficient counts as a series at
+    f's precision."""
     coeffs = q.coeffs if isinstance(q, SeriesPolynomial) else tuple(q)
     if not coeffs:
         return TruncatedSeries.zero(f.prec)
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * f + c
-    return acc
+    grid, (*cs, x) = _lift_poly(coeffs, f)
+    return _drop(_horner(cs, x), grid)
 
 
 def first_order(x: TruncatedSeries, lam, q, mu) -> TruncatedSeries:
@@ -406,9 +365,9 @@ def first_order(x: TruncatedSeries, lam, q, mu) -> TruncatedSeries:
     multiple of the valuation reaches the precision; at rank > 1 it may
     not, and the call refuses.  Every e of the set has the zero prefix of
     v_min(x) before j, so e_j >= v_j > 0.  The recurrence runs unchanged
-    on index tuples of the grid 1/L (see _lift): L scales e_j and weights.
+    on index tuples of the grid 1/L (see _Lift): L scales e_j and weights.
 
-    Over Q it runs on integers.  With x_b = X_b/D (see _lift), c the
+    Over Q it runs on integers.  With x_b = X_b/D (see _Lift), c the
     common denominator of lam, q and mu, s = c*D and M the largest e_j of
     the monoid, the loop keeps G_e = N_e g_e for N_e = s^(e_j) c M!, an
     integer: by induction on e, g_e s^(e_j) c e_j! is one.  Then
@@ -418,11 +377,12 @@ def first_order(x: TruncatedSeries, lam, q, mu) -> TruncatedSeries:
 
     so the term for b is a small integer weight times Y_b = X_b s^(b_j - 1),
     fixed per b, times G_(e-b).  The sum is divided exactly by e_j, and
-    each output term once by N_e.  When q = -lam every weight is a multiple
-    of e_j and M! is replaced by 1.  Scaling by e_j! instead of M! puts the
-    falling factorial (e_j - 1)!/(e_j - b_j)! in every pair's weight; on
-    dense series of 256 terms that measured 11-17% slower for exp, log and
-    powers, and equal at 16 terms.
+    the result is G_e s^(M - e_j) over the one denominator s^M N_0.  When
+    q = -lam every weight is a multiple of e_j and M! is replaced by 1.
+    Scaling by e_j! instead of M! puts the falling factorial
+    (e_j - 1)!/(e_j - b_j)! in every pair's weight; on dense series of 256
+    terms that measured 11-17% slower for exp, log and powers, and equal
+    at 16 terms.
 
     The scale s^M stands for the largest denominator the coefficients of g
     can need.  When M*floor(log2(s)) exceeds INT_BITS it outgrows them
@@ -432,64 +392,19 @@ def first_order(x: TruncatedSeries, lam, q, mu) -> TruncatedSeries:
     a coefficient outside Q; both with s = c = 1 and M! replaced by 1, so
     N_e = 1.
     """
-    zero = x.prec.scale(0)
-    if not x.prec > zero:
+    grid, (xs,) = _lift(x)
+    if not xs.prec > (0,) * x.rank:
         raise PreconditionError("argument precision must exceed 0")
-    if x.terms and not x.terms[0][0] > zero:
+    if x.terms and not next(iter(xs.terms)) > (0,) * x.rank:
         raise PreconditionError(f"v_min must be positive, got {x.terms[0][0]}")
-    if reach_count(x.v_floor(), x.prec) is None:
-        raise PrecisionError(
-            "precision unreachable by integer multiples of the valuation"
-        )
-    grid, plain, cut, ((d, xs),) = _lift(x.prec, x)
-    support = _monoid_below([b for b, _ in xs], (0,) * x.rank, cut)
-    j = x.v_floor().arch_class() - 1
-    c = lcm(*(Fraction(k).denominator for k in (lam, q, mu)))
-    m = max(e[j] for e in support)
-    ints = plain and m * ((c * d).bit_length() - 1) <= INT_BITS
-    if ints:
-        scale = [1]
-        for _ in range(m):
-            scale.append(scale[-1] * c * d)  # scale[k] = s^k
-        # q = -lam makes every weight a multiple of e_j: then 1 serves for M!
-        one = factorial(m) if q + lam else 1
-        n0 = c * one  # N_0, and N_e = s^(e_j) N_0
-        lam, q, mu = int(lam * c), int(q * c), int(mu * c)
-        ys = [(b, xb * scale[b[j] - 1]) for b, xb in _numerators(xs, d)]
-    else:
-        c, n0, ys = 1, 1, xs
-        one = Fraction(1) if plain else Coefficient.one()
-    xe = dict(ys)
-    g = {support[0]: one * (c - mu)} if mu != c else {}  # G_0 = (1 - mu) N_0
-    for e in support[1:]:
-        ej = e[j]
-        acc = None
-        for b, yb in ys:
-            if b > e:
-                break
-            gd = g.get(tuple(map(sub, e, b)))
-            if gd is None:
-                continue
-            w = q * b[j] - lam * (ej - b[j])
-            if w:
-                p = yb * w * gd
-                acc = p if acc is None else acc + p
-        if acc is not None:
-            acc = acc // ej if ints else acc * Fraction(1, ej)
-        if mu and e in xe:
-            p = xe[e] * (mu * n0)
-            acc = p if acc is None else acc + p
-        if acc is not None and (acc if plain else not acc.is_zero()):
-            g[e] = acc
-    den = (lambda e: scale[e[j]] * n0) if ints else None
-    return _drop(g, grid, x.prec, plain, den)
+    return _drop(_first_order(xs, lam, q, mu), grid)
 
 
 def _monoid_below(gens, zero, prec):
     """0 and the sums of elements of gens below prec, in increasing order.
 
     gens are positive index tuples in increasing order, on the grid of zero
-    and prec; the set must be finite (the caller checks with reach_count).
+    and prec; the set must be finite (the caller checks with _reach_class).
     """
     seen = {zero}
     frontier = [zero]
@@ -531,61 +446,317 @@ def _merge(a, b, prec):
     return tuple(out) + a[i:] + b[j:]
 
 
+# ---------------------------------------------------------------------------
+# Kernels on lifted series: a public call lifts its series once (_lift), runs
+# the kernels on the lifted values and wraps its result once (_drop).
+
+
+class _Lift:
+    """A series as the kernels hold it, on the grid 1/L of one call (every
+    exponent a kernel forms is a sum or difference of the inputs', so it
+    stays on their grid; see _lift).
+
+    terms maps the index tuples of the support, in increasing order, to
+    nonzero values: integer numerators over den when den is an int (of
+    either sign: a negative one divides and reduces alike), else
+    (den None) the coefficients themselves, Fractions over Q and
+    Coefficients outside it.  prec is the precision's index tuple.  A
+    kernel puts rational values on integers when their scale fits INT_BITS
+    (see _as), and after each product and sum divides den and the
+    numerators by their gcd (see _result); past INT_BITS the same kernels
+    run on the Fractions.
+    """
+
+    __slots__ = ("den", "terms", "prec")
+
+    def __init__(self, den, terms, prec):
+        self.den = den
+        self.terms = terms
+        self.prec = prec
+
+
 def _indices(e, grid):
     """The integer index tuple of e on the grid 1/grid."""
     return tuple([q.numerator * (grid // q.denominator) for q in e.coords])
 
 
-def _lift(prec, *series):
-    """The kernels' entry: the least grid 1/L holding prec and every exponent
-    of series, whether every coefficient is rational, prec's index tuple,
-    and each series as (D, terms): terms lists (index tuple, Fraction if
-    every coefficient is rational, else Coefficient), and D is the least
-    common denominator of the series' Fractions (1 for Coefficients)."""
-    exps = [prec] + [e for f in series for e, _ in f.terms]
+def _exponent(e, grid):
+    """The Exponent of the index tuple e on the grid 1/grid."""
+    return Exponent._of(tuple(Fraction(i, grid) for i in e))
+
+
+def _lift(*series):
+    """The kernels' entry: the least grid 1/L holding every exponent and
+    precision of series, and each series as a _Lift on it, its values the
+    Fractions of its coefficients if all of series are rational, else the
+    Coefficients.  Every exponent and precision a kernel forms from them is
+    a sum or difference of theirs, so it lies on the same grid, where index
+    tuples add, subtract and compare as the exponents do."""
+    exps = [f.prec for f in series] + [e for f in series for e, _ in f.terms]
     grid = lcm(*{q.denominator for e in exps for q in e.coords})
     values = [[c._value() for _, c in f.terms] for f in series]
     plain = all(v is not None for vs in values for v in vs)
-    lifted = [
-        (lcm(*(v.denominator for v in vs)) if plain else 1,
-         [(_indices(e, grid), v if plain else c) for (e, c), v in zip(f.terms, vs)])
+    return grid, [
+        _Lift(None, {_indices(e, grid): v if plain else c for (e, c), v in zip(f.terms, vs)},
+              _indices(f.prec, grid))
         for f, vs in zip(series, values)
     ]
-    return grid, plain, _indices(prec, grid), lifted
 
 
-def _numerators(terms, d):
-    """Lifted Fraction terms as integer numerators over their common
-    denominator d."""
-    return [(e, v.numerator * (d // v.denominator)) for e, v in terms]
+def _lift_poly(coeffs, f):
+    """_lift for Horner's rule: the coefficients and f, ranks checked, each
+    on integers where it fits (see _ints)."""
+    grid, lifted = _lift(*map(f._coerce, coeffs), f)
+    return grid, [_ints(x) for x in lifted]
 
 
-def _drop(out, grid, prec, plain, den):
-    """The kernels' exit: the nonzero values of out, a dict from index
-    tuples, as a series, each term wrapped once.  The values are integer
-    numerators over den(e), or, when den is None, Fractions if plain and
-    Coefficients if not."""
-    items = sorted(out.items())
-    if den is not None:
-        kept = ((e, Coefficient.const(Fraction(k, den(e)))) for e, k in items if k)
-    elif plain:
-        kept = ((e, Coefficient.const(c)) for e, c in items if c)
+def _v_min(x, grid):
+    """The v_min of the series x stands for."""
+    return _exponent(next(iter(x.terms)), grid) if x.terms else AtLeast(_exponent(x.prec, grid))
+
+
+def _drop(x, grid):
+    """The kernels' exit: x as a series, each term wrapped once."""
+    if x.den is not None:
+        d = x.den
+        kept = ((e, Coefficient.const(Fraction(k, d))) for e, k in x.terms.items())
     else:
-        kept = ((e, c) for e, c in items if not c.is_zero())
+        kept = ((e, Coefficient.const(v) if type(v) is Fraction else v) for e, v in x.terms.items())
     terms = tuple((Exponent._of(tuple(Fraction(i, grid) for i in e)), c) for e, c in kept)
-    return TruncatedSeries._of(terms, prec)
+    return TruncatedSeries._of(terms, _exponent(x.prec, grid))
+
+
+def _den(x):
+    """x's denominator: den on integers, the lcm of the denominators of its
+    Fractions, or None outside Q."""
+    if x.den is not None:
+        return x.den
+    ds = [v.denominator for v in x.terms.values() if type(v) is Fraction]
+    return lcm(*ds) if len(ds) == len(x.terms) else None
+
+
+def _as(x, d, ints):
+    """x on integer numerators over d, its denominator, if ints; else on
+    exact values."""
+    if ints:
+        return x if x.den is not None else _numerators(x, d)
+    if x.den is None:
+        return x
+    return _Lift(None, {e: Fraction(k, x.den) for e, k in x.terms.items()}, x.prec)
+
+
+def _ints(x):
+    """x on integer numerators if it is rational and its denominator fits
+    INT_BITS."""
+    d = _den(x)
+    return _as(x, d, d is not None and d.bit_length() - 1 <= INT_BITS)
+
+
+def _numerators(x, d):
+    """x, on Fractions, as integer numerators over their common denominator d."""
+    return _Lift(d, {e: v.numerator * (d // v.denominator) for e, v in x.terms.items()}, x.prec)
+
+
+def _result(den, out, prec):
+    """out, a dict from index tuples, as a _Lift: the nonzero terms in
+    increasing order, over den if it is an int.  The gcd of den and the
+    numerators is divided out, so the integers stay about the size of the
+    denominators they stand for."""
+    items = sorted(out.items())
+    if den is None:
+        return _Lift(None, {e: v for e, v in items
+                            if (not v.is_zero() if type(v) is Coefficient else v)}, prec)
+    out = {e: k for e, k in items if k}
+    g = gcd(den, *out.values())
+    if g > 1:
+        den //= g
+        out = {e: k // g for e, k in out.items()}
+    return _Lift(den, out, prec)
+
+
+def _mul(a, b):
+    """a*b, known below prec = min(a.prec + v(b), b.prec + v(a)), v the
+    least index or else the precision.
+
+    The lexicographic order is a group order, so e1 + e2 < prec exactly
+    when e2 < prec - e1.  Both term lists increase strictly: the first e2
+    at or past prec - e1 ends the row, as every later e2 is cut too, and a
+    row whose first pair is cut ends the product, as every later e1 is
+    larger.  Rational values run as integer numerators over D1*D2.  When
+    log2(D1*D2) exceeds INT_BITS the numerators outgrow the coefficients
+    they stand for (large coprime denominators), and the loop runs on the
+    Fractions themselves.
+
+    At rank 1, two such integer lists of at least KRONECKER_TERMS terms
+    each, filling at least 1/DENSITY of their index ranges, are multiplied
+    by Kronecker substitution instead (see _kronecker): one big-integer
+    product in place of the double loop.  The cut-over is measured on
+    whole products (Python 3.11, 2 cores): two dense factors of n terms on
+    one grid take 78/76 us by the loop/packed at n = 8, 162/128 us at
+    n = 16 and 424/235 us at n = 32; at a quarter of the density, or with
+    the cut at n/2, the two meet at n = 16.
+    """
+    va, vb = next(iter(a.terms), a.prec), next(iter(b.terms), b.prec)
+    cut = min(tuple(map(add, a.prec, vb)), tuple(map(add, b.prec, va)))
+    da, db = _den(a), _den(b)
+    den = da * db if da is not None and db is not None else None
+    ints = den is not None and den.bit_length() - 1 <= INT_BITS
+    lhs, rhs = list(_as(a, da, ints).terms.items()), list(_as(b, db, ints).terms.items())
+    if ints and len(cut) == 1 and _packable(lhs) and _packable(rhs):
+        return _result(den, _kronecker(lhs, rhs, cut[0]), cut)
+    out = {}
+    for e1, c1 in lhs:
+        room = tuple(map(sub, cut, e1))
+        if not rhs or not rhs[0][0] < room:
+            break
+        for e2, c2 in rhs:
+            if not e2 < room:
+                break
+            e = tuple(map(add, e1, e2))
+            s = out.get(e)
+            out[e] = c1 * c2 if s is None else s + c1 * c2
+    return _result(den if ints else None, out, cut)
+
+
+def _add(a, b, prec, sign=1):
+    """a + sign*b for sign = 1 or -1, cut at prec: a merge, on integer
+    numerators over lcm(D1, D2) while it fits INT_BITS."""
+    da, db = _den(a), _den(b)
+    den = lcm(da, db) if da is not None and db is not None else None
+    ints = den is not None and den.bit_length() - 1 <= INT_BITS
+    a, b = _as(a, da, ints), _as(b, db, ints)
+    ka, kb = (den // da, sign * den // db) if ints else (1, sign)
+    out = {e: v if ka == 1 else v * ka for e, v in a.terms.items() if e < prec}
+    for e, v in b.terms.items():
+        if not e < prec:
+            break
+        v = v if kb == 1 else v * kb
+        s = out.get(e)
+        out[e] = v if s is None else s + v
+    return _result(den if ints else None, out, prec)
+
+
+def _truncate(x, prec):
+    """x cut at prec, or at its own precision if that is lower."""
+    prec = min(prec, x.prec)
+    return _Lift(x.den, {e: v for e, v in x.terms.items() if e < prec}, prec)
+
+
+def _horner(coeffs, x):
+    """Horner's rule on lifted values: acc -> acc*x + c, from the leading
+    coefficient down, each sum at the lesser precision of its terms."""
+    if not coeffs:
+        return _Lift(1, {}, x.prec)
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = _mul(acc, x)
+        acc = _add(acc, c, min(acc.prec, c.prec))
+    return acc
+
+
+def _inv(x):
+    """1/x for a lifted x, known to x.prec - v: its leading coefficient c0
+    folded into the lift.
+
+    With v the valuation, u = x/(c0 t^v) - 1 is infinitesimal and
+    1/x = t^(-v) g/c0 for g = 1/(1 + u), first_order's solution with
+    lam = 1, q = -1 and mu = 0.  On integers, with c0 = A0/D, u has x's
+    numerators past the leading one over A0, and 1/x has g's numerators
+    times D over g's denominator times A0: no term is scaled by 1/c0 on
+    its own.
+    """
+    if not x.terms:
+        raise PreconditionError("cannot invert a series that is zero at precision")
+    x = _ints(x)
+    items = iter(x.terms.items())
+    v, a0 = next(items)
+    prec = tuple(map(sub, x.prec, v))
+    if x.den is not None:
+        u = _result(a0, {tuple(map(sub, e, v)): k for e, k in items}, prec)
+    else:
+        c = 1 / a0
+        u = _Lift(None, {tuple(map(sub, e, v)): k * c for e, k in items}, prec)
+    g = _first_order(u, 1, -1, 0)
+    prec = tuple(map(sub, prec, v))
+    if x.den is not None and g.den is not None:
+        out = {tuple(map(sub, e, v)): k * x.den for e, k in g.terms.items()}
+        return _result(g.den * a0, out, prec)
+    c = 1 / a0 if x.den is None else Fraction(x.den, a0)
+    g = _as(g, None, False)
+    return _Lift(None, {tuple(map(sub, e, v)): k * c for e, k in g.terms.items()}, prec)
+
+
+def _reach_class(step, prec):
+    """The first nonzero coordinate j of the index tuple step > 0, or None
+    when no integer multiple of step reaches prec (see
+    exponents.reach_count): n*step is 0 before j, so a positive prec that
+    is nonzero before j is out of reach, and any other prec is reached."""
+    j = next(i for i, k in enumerate(step) if k)
+    return j if not any(prec[:j]) or prec <= (0,) * len(prec) else None
+
+
+def _first_order(x, lam, q, mu):
+    """first_order's recurrence on a lifted infinitesimal x of positive
+    precision (see first_order)."""
+    j = _reach_class(next(iter(x.terms), x.prec), x.prec)
+    if j is None:
+        raise PrecisionError("precision unreachable by integer multiples of the valuation")
+    support = _monoid_below(list(x.terms), (0,) * len(x.prec), x.prec)
+    c = lcm(*(Fraction(k).denominator for k in (lam, q, mu)))
+    m = max(e[j] for e in support)
+    d = _den(x)
+    ints = d is not None and m * ((c * d).bit_length() - 1) <= INT_BITS
+    x = _as(x, d, ints)
+    if ints:
+        scale = [1]
+        for _ in range(m):
+            scale.append(scale[-1] * c * d)  # scale[k] = s^k
+        # q = -lam makes every weight a multiple of e_j: then 1 serves for M!
+        one = factorial(m) if q + lam else 1
+        n0 = c * one  # N_0, and N_e = s^(e_j) N_0
+        lam, q, mu = int(lam * c), int(q * c), int(mu * c)
+        ys = [(b, xb * scale[b[j] - 1]) for b, xb in x.terms.items()]
+    else:
+        c, n0, ys = 1, 1, list(x.terms.items())
+        one = Fraction(1) if d is not None else Coefficient.one()
+    xe = dict(ys)
+    g = {support[0]: one * (c - mu)} if mu != c else {}  # G_0 = (1 - mu) N_0
+    for e in support[1:]:
+        ej = e[j]
+        acc = None
+        for b, yb in ys:
+            if b > e:
+                break
+            gd = g.get(tuple(map(sub, e, b)))
+            if gd is None:
+                continue
+            w = q * b[j] - lam * (ej - b[j])
+            if w:
+                p = yb * w * gd
+                acc = p if acc is None else acc + p
+        if acc is not None:
+            acc = acc // ej if ints else acc * Fraction(1, ej)
+        if mu and e in xe:
+            p = xe[e] * (mu * n0)
+            acc = p if acc is None else acc + p
+        if acc is not None and (acc if d is not None else not acc.is_zero()):
+            g[e] = acc
+    if ints:  # g increases and its values are nonzero
+        g = {e: k * scale[m - e[j]] for e, k in g.items()}
+    return _Lift(scale[m] * n0 if ints else None, g, x.prec)
 
 
 # Rational kernels run on integer numerators while the base-2 logarithm of
-# their scale, D1*D2 for a product and s^M for first_order, is at most
-# INT_BITS.  On dense series of 16 to 128 terms with denominators from 1..6
-# up to 20 digits (Python 3.11), integers were faster up to 3315 (products)
-# and 5696 (first_order), and slower from 7738 and 16112.
+# their scale, D1*D2 for a product, lcm(D1, D2) for a sum and s^M for
+# first_order, is at most INT_BITS.  On dense series of 16 to 128 terms
+# with denominators from 1..6 up to 20 digits (Python 3.11), integers were
+# faster up to 3315 (products) and 5696 (first_order), and slower from 7738
+# and 16112.
 INT_BITS = 4096
 
 # Rank-1 integer term lists of at least KRONECKER_TERMS terms, filling at
 # least 1/DENSITY of the slots from the first index to the last, are
-# multiplied by Kronecker substitution (see TruncatedSeries.__mul__).
+# multiplied by Kronecker substitution (see _mul).
 KRONECKER_TERMS = 16
 DENSITY = 4
 

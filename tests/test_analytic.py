@@ -1,5 +1,6 @@
 import os
 import random
+from collections import Counter
 import subprocess
 import sys
 import time
@@ -10,10 +11,13 @@ import pytest
 
 import hahnseries.analytic as analytic
 from conftest import rand_coeff, rand_eps, rand_fraction, rand_series
+from test_series import _public_eval_poly
 from hahnseries.coeffs import Coefficient
 from hahnseries.errors import PrecisionError, PreconditionError
 from hahnseries.exponents import Exponent, as_exponent, reach_count
+from hahnseries import series as series_module
 from hahnseries.series import (
+    INT_BITS,
     AtLeast,
     SeriesPolynomial,
     TruncatedSeries,
@@ -458,6 +462,91 @@ def test_hensel_step_budget(monkeypatch):
     monkeypatch.setattr(analytic, "HENSEL_STEPS", 1)
     with pytest.raises(PrecisionError, match="no convergence within 1 steps"):
         hensel_lift(q, r)
+
+
+def _public_hensel_lift(q, r, with_trace=False):
+    """Newton's iteration on public series operations, as hensel_lift ran
+    before it lifted once per call: the oracle for the lifted loop."""
+    zero = r.prec.scale(0)
+    dq = q.derivative()
+    slope = _public_eval_poly(dq, r)
+    if not slope.terms or slope.terms[0][0] != zero:
+        raise PreconditionError(f"v_min(Q'(r)) = {slope.v_min()} is not zero")
+    res = _public_eval_poly(q, r)
+    if res.terms and not res.terms[0][0] > zero:
+        raise PreconditionError(f"v_min(Q(r)) = {res.terms[0][0]} is not positive")
+    if res.terms and reach_count(res.terms[0][0], r.prec) is None:
+        raise PrecisionError("precision unreachable from the initial residual valuation")
+    x, trace = r, [res.v_min()]
+    while res.terms:
+        if len(trace) > analytic.HENSEL_STEPS:
+            raise PrecisionError(f"no convergence within {analytic.HENSEL_STEPS} steps")
+        m = res.terms[0][0]
+        cut = min(res.prec, m + m)
+        if len(trace) > 1:
+            slope = _public_eval_poly(dq, x.truncate(cut - m))
+        step = res.truncate(cut) * slope.inv()
+        # x - step, known to the residual's precision rather than step's
+        known = min(x.prec, res.prec)
+        terms = dict(x.truncate(known).terms)
+        for e, c in step.terms:
+            terms[e] = terms.get(e, Coefficient.zero()) - c
+        x = TruncatedSeries(terms, known)
+        new_res = _public_eval_poly(q, x)
+        if new_res.terms and not new_res.terms[0][0] > m:
+            raise PrecisionError("residual valuation failed to increase")
+        res = new_res
+        trace.append(res.v_min())
+    x = x.truncate(res.prec)
+    return (x, trace) if with_trace else x
+
+
+@pytest.mark.parametrize("int_bits", [0, INT_BITS])
+def test_hensel_matches_newton_on_public_operations(monkeypatch, int_bits):
+    """Every residual, slope inverse and correction on one lift gives the
+    root, the trace and the refusals of the same iteration run on public
+    series operations (with eval_poly as Horner's rule over them): over Q
+    and Q(a1), rank 1 and 2, coefficients of unequal precisions, starts
+    that are already roots, with INT_BITS at 0 and at its value."""
+    monkeypatch.setattr(series_module, "INT_BITS", int_bits)
+    def outcome(lift, q, r):
+        try:
+            return lift(q, r, with_trace=True)
+        except (PrecisionError, PreconditionError) as exc:
+            return type(exc).__name__, str(exc)
+
+    rng = random.Random(1025)
+    kinds = Counter()
+    for i in range(320):
+        q, r = _hensel_case(rng, i)
+        got, want = outcome(hensel_lift, q, r), outcome(_public_hensel_lift, q, r)
+        assert got == want, (i, str(q), str(r))
+        if isinstance(got[0], str):
+            kinds["refused"] += 1
+            continue
+        root, trace = got
+        assert all(type(c) is Fraction for e, _ in root.terms for c in e.coords)
+        kinds["rank 2" if r.rank == 2 else "rank 1"] += 1
+        kinds["Q(a1)" if i % 8 == 7 else "Q"] += 1
+        kinds["root at start"] += len(trace) == 1
+        kinds["unequal precisions"] += len({c.prec for c in q.coeffs}) > 1
+    assert kinds["refused"] > 10 and kinds["rank 2"] > 20 and kinds["Q(a1)"] > 20, kinds
+    assert kinds["root at start"] > 20 and kinds["unequal precisions"] > 100, kinds
+
+
+def test_one_hensel_lift_wraps_one_series(monkeypatch):
+    """The Newton loop runs on lifted values: the root is the only series
+    built, by one _drop, however many steps it takes."""
+    drops = []
+    for module in (series_module, analytic):
+        real = module._drop
+        monkeypatch.setattr(module, "_drop", lambda *a, real=real: drops.append(a) or real(*a))
+    for n in (4, 16, 64):
+        q, r, s = _dense_quadratic(n)
+        drops.clear()
+        root, trace = hensel_lift(q, r, with_trace=True)
+        assert root == s and len(trace) > 2
+        assert len(drops) == 1, n
 
 
 def test_track_denominators_examples():

@@ -102,6 +102,31 @@ def test_apply_place_homomorphism(rng):
         checked += 1
 
 
+def test_apply_place_keeps_elements_without_the_variable(rng, monkeypatch):
+    import hahnseries.coeffs as coeffs_mod
+
+    substituted = []
+    real_subs = Poly.subs_var
+    monkeypatch.setattr(Poly, "subs_var", lambda p, *a: substituted.append(p) or real_subs(p, *a))
+    planted = 0
+    for k in range(200):
+        c = rand_coeff(rng, (2, 3)) if k % 4 else Coefficient.const(rand_fraction(rng))
+        place = Place(1, Fraction(rng.randint(-4, 4), rng.choice((1, 2))))
+        # the image of an element without a1 is the element, and nothing is substituted
+        assert apply_place(c, place) == c
+        assert coeffs_mod._finite_den(c, place) == c.den
+        assert substituted == []
+        # a pole planted at a1 = q is still found
+        if not c.is_zero():
+            pole = c / (a1 - place.q)
+            assert apply_place(pole, place) is INFINITE
+            assert coeffs_mod._finite_den(pole, place) is None
+            assert apply_place(c * (a1 - place.q + 1), place) == c
+            planted += 1
+            substituted.clear()
+    assert planted > 150
+
+
 def test_pole_set_is_finite(rng):
     for _ in range(60):
         c = rand_coeff(rng, (1,), allow_den=True)

@@ -934,3 +934,119 @@ def _fraction_inv(f):
     c0_inv = Coefficient.one() / c0
     unit = f.shift_scale(c0_inv, -v)
     return _fraction_first_order(unit - 1, 1, -1, 0).shift_scale(c0_inv, -v)
+
+
+# The public-operation forms that the lifted kernels replaced, kept as
+# oracles: Horner's rule over series products and sums, and the inverse
+# that scales by 1/c0 with shift_scale before and after first_order.
+
+
+def _public_eval_poly(q, f):
+    coeffs = q.coeffs
+    if not coeffs:
+        return TruncatedSeries.zero(f.prec)
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * f + c
+    return acc
+
+
+def _shift_scale_inv(f):
+    if not f.terms:
+        raise PreconditionError("cannot invert a series that is zero at precision")
+    v, c0 = f.terms[0]
+    c0_inv = Coefficient.one() / c0
+    unit = f.shift_scale(c0_inv, -v)
+    return first_order(unit - 1, 1, -1, 0).shift_scale(c0_inv, -v)
+
+
+def _same(got, want):
+    """Equal outcomes, and a series on Fraction exponents, as the public
+    operations build them (coefficients are canonical, so equal ones are
+    built alike)."""
+    if isinstance(got, TruncatedSeries):
+        exps = [got.prec] + [e for e, _ in got.terms]
+        return got == want and all(type(q) is Fraction for e in exps for q in e.coords)
+    return got == want
+
+
+RATIONAL = lambda r: Fraction(r.choice((-1, 1)) * r.randint(1, 9), r.randint(1, 6))  # noqa: E731
+SYMBOLIC = lambda r: rand_coeff(r, (1,), max_deg=1)  # noqa: E731
+
+
+def inverse_cases(rng):
+    """Series to invert over Q (small, big and coprime values, the leading
+    numerator negative in half of them) and Q(a1); dense, sparse and
+    monomials on three grids; rank 2, reachable and not."""
+    cases = []
+    for n in (1, 2, 4, K - 1, K + 1):
+        for kind in ("small", "negative", "big", "big negative", "coprime", "symbolic"):
+            if kind == "symbolic" and n > 4:
+                continue
+            coeff = _coefficients(rng, kind)
+            for den in (1, 2, 3):
+                f = _run(rng, n, den, rng.randint(-3, 2), rng.choice((1, 2)), coeff)
+                cases += [f, f.scalar_mul(-1)]
+    for k in range(80):
+        f = _rank2(rng, SYMBOLIC if k % 4 == 3 else RATIONAL)
+        if f.terms:
+            cases += [f, f.scalar_mul(-1)]
+    return cases
+
+
+@pytest.mark.parametrize("int_bits", [0, INT_BITS])
+def test_inv_matches_the_shift_scale_form(monkeypatch, int_bits):
+    monkeypatch.setattr(series_module, "INT_BITS", int_bits)
+    rng = random.Random(3307)
+    kinds = Counter()
+    for f in inverse_cases(rng):
+        got, want = outcome(f.inv), outcome(lambda: _shift_scale_inv(f))
+        assert _same(got, want), str(f)
+        rational = _all_rational(f)
+        kinds["Q" if rational else "Q(a1)"] += 1
+        kinds["negative c0"] += rational and f.terms[0][1].as_fraction() < 0
+        kinds["rank 2"] += f.rank == 2
+        kinds["refused"] += isinstance(got, tuple)
+    assert kinds["Q"] > 150 and kinds["Q(a1)"] > 30 and kinds["negative c0"] > 80, kinds
+    assert kinds["rank 2"] > 100 and kinds["refused"] > 5, kinds
+
+
+def horner_cases(rng):
+    """(q, f) with q of degree 0 to 4: coefficients of unequal precisions
+    and valuations, over Q and Q(a1), rank 1 and 2, f zero at precision
+    or not; then dense ones around the Kronecker cut-over."""
+    cases = []
+    for k in range(300):
+        symbolic = k % 5 == 4
+        if k % 3 == 2:
+            coeff = SYMBOLIC if symbolic else RATIONAL
+            make = lambda: _rank2(rng, coeff)  # noqa: E731
+        else:
+            make = lambda: rand_series(  # noqa: E731
+                rng, prec=Fraction(rng.randint(0, 12), rng.choice((1, 2))), terms=rng.randint(0, 6),
+                variables=(1,) if symbolic else (), lo=-2, hi=6)
+        cases.append((SeriesPolynomial([make() for _ in range(rng.randint(0, 4) + 1)]), make()))
+    for n in (4, K, K + 1):
+        for kind in ("small", "big", "coprime"):
+            coeff = _coefficients(rng, kind)
+            den = rng.choice((1, 2))
+            coeffs = [_run(rng, n, den, rng.randint(0, 2), 1, coeff) for _ in range(3)]
+            cases.append((SeriesPolynomial(coeffs), _run(rng, n, den, 0, 1, coeff)))
+    return cases
+
+
+@pytest.mark.parametrize("int_bits", [0, INT_BITS])
+def test_eval_poly_matches_horner_over_public_operations(monkeypatch, int_bits):
+    monkeypatch.setattr(series_module, "INT_BITS", int_bits)
+    rng = random.Random(9413)
+    kinds = Counter()
+    for q, f in horner_cases(rng):
+        got, want = outcome(lambda: eval_poly(q, f)), outcome(lambda: _public_eval_poly(q, f))
+        assert _same(got, want), (str(q), str(f))
+        precs = {c.prec for c in q.coeffs}
+        kinds["unequal precisions"] += len(precs) > 1
+        kinds["Q(a1)"] += not all(_all_rational(c) for c in (*q.coeffs, f))
+        kinds["rank 2"] += f.rank == 2
+        kinds["nonzero"] += bool(got.terms)
+    assert kinds["unequal precisions"] > 150 and kinds["Q(a1)"] > 30, kinds
+    assert kinds["rank 2"] > 80 and kinds["nonzero"] > 150, kinds
