@@ -116,13 +116,12 @@ def _expand_columns(elements, scalar_vars):
     scalar_vars = frozenset(scalar_vars)
     if not elements:
         return []
-    common = Poly.one()
-    for c in elements:
-        common = poly_lcm(common, c.den)
-    cleared = []
-    for c in elements:
-        cofactor = divexact(common, c.den)
-        cleared.append(c.num * cofactor)
+    cleared = [c.num for c in elements]
+    if any(not c.den.is_const() for c in elements):  # a canonical constant denominator is 1
+        common = Poly.one()
+        for c in elements:
+            common = poly_lcm(common, c.den)
+        cleared = [c.num * divexact(common, c.den) for c in elements]
     # entry idx of a row is cleared[idx].c times the integer bucket {y_part: int}
     rows = {}
     for idx, p in enumerate(cleared):

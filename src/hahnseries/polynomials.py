@@ -23,14 +23,22 @@ shows that x does not occur in the gcd.  This is sound: by Gauss's
 lemma the gcd h divides both integer parts in Z[a1, ...], so its image
 divides both images; and lc_x(h) divides lc_x of each input, so the
 image of h keeps its degree in x when either input's leading
-coefficient survives the evaluation.  Otherwise gcd recurses on
-contents and primitive parts with a primitive pseudo-remainder sequence
-(PRS) on dense views, on integers once one variable is left: the one
-algorithm for nontrivial gcds.  Exact division is long division on
-dense views; in one variable it divides the integer parts, whose
-quotient is integral when it exists (Gauss's lemma), so it stops at the
-first top entry that does not divide.  Perfect-square detection
-supports quadratic initial forms.
+coefficient survives the evaluation.  A nontrivial gcd in one variable
+is Euclid's on integers (a primitive PRS).  In more variables it is the
+heuristic gcd GCDHEU (Char, Geddes & Gonnet, J. Symb. Comput. 7, 1989)
+on the integer parts, after their monomial contents: the least variable
+goes to an integer xi, the gcd of the images recurses down to an
+integer gcd, and the candidate h is rebuilt from symmetric xi-adic
+digits.  It is accepted only when h divides both parts f and g and the
+certificate above proves f/h and g/h coprime, for then
+gcd(f, g) = h*gcd(f/h, g/h) = h, whatever xi was.  Otherwise xi grows
+(by sympy's rule) for a few tries, and then a primitive pseudo-remainder
+sequence (PRS) on dense views gives the answer.  Exact division is long
+division on the integer parts, whose quotient is integral when it exists
+(Gauss's lemma): in the least variable, each entry of the quotient is an
+exact quotient by the divisor's top entry, so it stops at the first one
+that does not divide.  Perfect-square detection supports quadratic
+initial forms.
 """
 
 from __future__ import annotations
@@ -226,14 +234,8 @@ class Poly:
         q = q if isinstance(q, Fraction) else Fraction(q)
         n, d = q.numerator, q.denominator
         cols = _buckets(self.z, var)
-        top = len(cols) - 1
-        out = {}
-        for e, col in enumerate(cols):
-            k = n**e * d ** (top - e)
-            for m, v in col.items():
-                out[m] = out.get(m, 0) + k * v
-        out = {m: v for m, v in out.items() if v}
-        return from_ints(self.c.numerator, self.c.denominator * d**top, out)
+        scale = d ** (len(cols) - 1)
+        return from_ints(self.c.numerator, self.c.denominator * scale, _at(cols, n, d))
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
@@ -299,6 +301,18 @@ def _buckets(z, var):
     return buckets
 
 
+def _at(cols, n, d=1):
+    """The integer dict sum_e cols[e] * n^e * d^(D-e), D = len(cols) - 1:
+    d^D times the integer dict whose buckets these are, its variable at n/d."""
+    top = len(cols) - 1
+    out = {}
+    for e, col in enumerate(cols):
+        k = n**e * d ** (top - e)
+        for m, v in col.items():
+            out[m] = out.get(m, 0) + k * v
+    return {m: v for m, v in out.items() if v}
+
+
 def dense(p: Poly, var):
     """p as a polynomial in var: its coefficients (polynomials in the other
     variables) indexed by power, with the top entry nonzero; [] for 0."""
@@ -322,11 +336,11 @@ def _join(coeffs, var) -> Poly:
     return from_ints(n, d, out)
 
 
-def _uni_dense(p: Poly):
-    """The integer part of a polynomial in at most one variable, as a list
-    of ints indexed by power."""
-    out = [0] * (max(m[0][1] if m else 0 for m in p.z) + 1)
-    for m, v in p.z.items():
+def _uni_dense(z):
+    """An integer part in at most one variable, as a list of ints indexed
+    by power."""
+    out = [0] * (max(m[0][1] if m else 0 for m in z) + 1)
+    for m, v in z.items():
         out[m[0][1] if m else 0] = v
     return out
 
@@ -405,6 +419,9 @@ def _coprime(p: Poly, q: Poly) -> bool:
     return True
 
 
+HEU_TRIES = 6  # evaluation points per level of the heuristic gcd, as sympy's HEU_GCD_MAX
+
+
 def poly_gcd(p: Poly, q: Poly) -> Poly:
     """Monic gcd over Q[a1, a2, ...]."""
     if p.is_zero():
@@ -416,7 +433,88 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     vs = p.variables() | q.variables()
     var = min(vs)
     if len(vs) == 1:
-        return _uni_gcd(_uni_dense(p), _uni_dense(q), var)
+        return _uni_gcd(_uni_dense(p.z), _uni_dense(q.z), var)
+    h = _heu_gcd(p.z, q.z)
+    return _prs_gcd(p, q, var) if h is None else h
+
+
+def _heu_gcd(f, g):
+    """Monic gcd of the integer parts f and g by the heuristic gcd (see
+    the module docstring), or None when it gives up.  The monomial
+    contents come out first: f = m_f*f0 and g = m_g*g0 with f0, g0 free of
+    monomial factors, so gcd(f, g) = gcd(m_f, m_g)*gcd(f0, g0)."""
+    f, mf = _monomial_content(f)
+    g, mg = _monomial_content(g)
+    h = _UNIT if len(f) == 1 or len(g) == 1 else _heu(f, g, True)
+    if h is None:
+        return None
+    common = tuple((v, min(e, mg[v])) for v, e in mf.items() if v in mg)
+    if common:
+        h = {mono_mul(m, common): v for m, v in h.items()}
+    return from_ints(1, 1, h).monic()
+
+
+def _monomial_content(z):
+    """z divided by its monomial content, and that content as {var: power}."""
+    it = iter(z)
+    low = dict(next(it))
+    for m in it:
+        if not low:
+            return z, low
+        d = dict(m)
+        low = {v: min(e, d[v]) for v, e in low.items() if v in d}
+    if not low:
+        return z, low
+    return {tuple((v, e - low.get(v, 0)) for v, e in m if e != low.get(v)): c for m, c in z.items()}, low
+
+
+def _heu(f, g, certify=False):
+    """GCDHEU on integer dicts: a gcd of f and g, or None.  The least
+    variable x goes to xi, the images' gcd comes from the next level, and
+    its symmetric xi-adic digits are the candidate's coefficients of
+    powers of x.  A candidate is accepted when it divides f and g; at the
+    top (certify) also only when _coprime proves the cofactors coprime."""
+    if len(f) == 1 and () in f or len(g) == 1 and () in g:
+        return {(): gcd(*f.values(), *g.values())}
+    c = gcd(*f.values(), *g.values())
+    if c != 1:
+        f = {m: v // c for m, v in f.items()}
+        g = {m: v // c for m, v in g.items()}
+    x = min(m[0][0] for z in (f, g) for m in z if m)
+    fs, gs = _buckets(f, x), _buckets(g, x)
+    fn, gn = max(map(abs, f.values())), max(map(abs, g.values()))
+    b = 2 * min(fn, gn) + 29
+    lf, lg = abs(max(fs[-1].items())[1]), abs(max(gs[-1].items())[1])
+    xi = max(min(b, 99 * isqrt(b)), 2 * min(fn // lf, gn // lg) + 4)
+    for _ in range(HEU_TRIES):
+        fx, gx = _at(fs, xi), _at(gs, xi)
+        hx = _heu(fx, gx) if fx and gx else None
+        if hx is not None:
+            h = {}
+            for m, v in hx.items():
+                e = 0
+                while v:
+                    d = v % xi
+                    if d > xi // 2:
+                        d -= xi
+                    if d:
+                        h[((x, e),) + m if e else m] = d
+                    v = (v - d) // xi
+                    e += 1
+            k = gcd(*h.values())
+            if k != 1:
+                h = {m: v // k for m, v in h.items()}
+            qf = _zdiv(f, h)
+            qg = None if qf is None else _zdiv(g, h)
+            if qg is not None and (not certify or _coprime(_new(_ONE, qf), _new(_ONE, qg))):
+                return {m: v * c for m, v in h.items()} if c != 1 else h
+        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
+    return None
+
+
+def _prs_gcd(p: Poly, q: Poly, var) -> Poly:
+    """Monic gcd by the primitive PRS in var over the contents' gcd: the
+    fallback when the heuristic gives up."""
     a, b = dense(p, var), dense(q, var)
     ca, a = _primitive(a)
     cb, b = _primitive(b)
@@ -444,11 +542,8 @@ def poly_lcm(p: Poly, q: Poly) -> Poly:
 def divexact(p: Poly, q: Poly):
     """Exact quotient p / q, or None when q does not divide p.
 
-    Long division on the dense views in q's least variable: each entry of
-    the quotient is an exact quotient by q's top entry, which is free of
-    that variable.  When q has one variable and p no other, it divides
-    the integer parts, whose quotient is integral if it exists, so it
-    stops at the first top entry that the divisor's does not divide.
+    By Gauss's lemma q divides p over Q exactly when q's integer part
+    divides p's over Z; that quotient, times p.c / q.c, is the answer.
     """
     if q.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
@@ -456,39 +551,74 @@ def divexact(p: Poly, q: Poly):
         return Poly.zero()
     if q.is_const():
         return p if q.c == 1 else _new(p.c / q.c, p.z)  # a Poly is never mutated
-    vs = q.variables()
-    var = min(vs)
-    if len(vs) == 1 and p.variables() <= vs:
-        a, b = _uni_dense(p), _uni_dense(q)
-        db, lb = len(b) - 1, b[-1]
-        quotient = [0] * max(len(a) - db, 0)
-        while len(a) > db:
-            f, rest = divmod(a.pop(), lb)
+    z = _zdiv(p.z, q.z)
+    if z is None:
+        return None
+    c = p.c / q.c
+    return from_ints(c.numerator, c.denominator, z)
+
+
+def _zdiv(a, b):
+    """The integer dict a / b when b divides a in Z[a1, ...], else None.
+
+    Long division on buckets in the least variable x of a and b: each
+    entry of the quotient is an exact quotient by b's top bucket, which is
+    free of x.  In one variable it runs on lists of ints.
+    """
+    if len(b) == 1 and () in b:
+        k = b[()]
+        out = {}
+        for m, v in a.items():
+            f, rest = divmod(v, k)
             if rest:
                 return None
-            off = len(a) - db
-            quotient[off] = f
-            for i in range(db):
-                a[off + i] -= f * b[i]
-        if any(a):
-            return None
-        c = p.c / q.c
-        quotient = {((var, e),) if e else (): v for e, v in enumerate(quotient) if v}
-        return from_ints(c.numerator, c.denominator, quotient)
-    a, b = dense(p, var), dense(q, var)
-    db, lb = len(b) - 1, b[-1]
+            out[m] = f
+        return out
+    x = min(m[0][0] for z in (a, b) for m in z if m)
+    if all(len(m) < 2 and (not m or m[0][0] == x) for z in (a, b) for m in z):
+        return _uni_div(a, b, x)
+    aa, bb = _buckets(a, x), _buckets(b, x)
+    db, lb = len(bb) - 1, bb[-1]
     quotient = []
-    while len(a) > db:
-        c = divexact(a.pop(), lb)
-        if c is None:
+    while len(aa) > db:
+        top = aa.pop()
+        f = _zdiv(top, lb) if top else top
+        if f is None:
             return None
-        quotient.append(c)
-        off = len(a) - db
+        quotient.append(f)
+        off = len(aa) - db
         for i in range(db):
-            a[off + i] = a[off + i] - c * b[i]
-    if any(not c.is_zero() for c in a):
+            t = aa[off + i]
+            for m1, v1 in f.items():
+                for m2, v2 in bb[i].items():
+                    m = mono_mul(m1, m2)
+                    s = t.get(m, 0) - v1 * v2
+                    if s:
+                        t[m] = s
+                    else:
+                        del t[m]
+    if any(aa):
         return None
-    return _join(quotient[::-1], var)
+    top = len(quotient) - 1
+    return {((x, top - i),) + m if i < top else m: v for i, f in enumerate(quotient) for m, v in f.items()}
+
+
+def _uni_div(a, b, x):
+    """_zdiv for a and b in the one variable x, on lists of ints."""
+    a, b = _uni_dense(a), _uni_dense(b)
+    db, lb = len(b) - 1, b[-1]
+    quotient = [0] * max(len(a) - db, 0)
+    while len(a) > db:
+        f, rest = divmod(a.pop(), lb)
+        if rest:
+            return None
+        off = len(a) - db
+        quotient[off] = f
+        for i in range(db):
+            a[off + i] -= f * b[i]
+    if any(a):
+        return None
+    return {((x, e),) if e else (): v for e, v in enumerate(quotient) if v}
 
 
 def poly_sqrt(p: Poly):

@@ -289,14 +289,33 @@ def inclusion_exclusion_approx(f: TruncatedSeries, specs, places=None):
     summands keyed by bitstring, and the places used.  For each nonzero
     stage subset the summand's coefficients omit every selected
     variable; the coefficient of h at any exponent where f's coefficient
-    already misses some listed variable equals f's coefficient there.
+    already misses some listed variable a_j equals f's coefficient there:
+    the summands of stage subsets S and S + {j} agree at that exponent and
+    cancel, all but the one of {j}.  So the summands are added only at the
+    other exponents.
     """
     images, chosen = _stage_images(f, specs, places)
     summands = {
         key: -g if key.count("1") % 2 else g for key, g in images.items()
     }
-    h = -sum(summands.values(), TruncatedSeries.zero(f.prec))
-    return InclusionExclusionResult(h, summands, chosen)
+    prec = min(f.prec, *(g.prec for g in summands.values()))
+    listed = {place.var for place in chosen}
+    full = {e for e, c in f.terms if c.variables() == listed}  # f uses every listed variable
+    sums = {}
+    for g in summands.values():
+        for e, c in g.terms:
+            if e in full:
+                sums[e] = sums[e] + c if e in sums else c
+    terms = []
+    for e, c in f.terms:
+        if not e < prec:
+            break
+        if e in full:
+            c = -sums.get(e, Coefficient.zero())
+            if c.is_zero():
+                continue
+        terms.append((e, c))
+    return InclusionExclusionResult(TruncatedSeries._of(tuple(terms), prec), summands, chosen)
 
 
 def mult_inclusion_exclusion(u: OneUnit, specs, places=None):

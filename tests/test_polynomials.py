@@ -177,7 +177,7 @@ def test_divexact_matches_leading_term_division(rng):
 
 def _dense_view_divexact(p, q):
     """Long division on Poly dense views at every size, as the library did
-    before univariate pairs ran on Fractions; the oracle for that path."""
+    before it divided integer parts; the oracle for divexact."""
     if p.is_zero():
         return Poly()
     if q.is_const():
@@ -413,11 +413,11 @@ def test_certificate_falls_back_when_leading_coefficients_vanish(monkeypatch):
     p = (a2 - c) * a1 + one
     q = (a2 - c) * a1 * a1 + a2
     assert not P._coprime(p, q)
-    prems = []
-    real = P._prem
-    monkeypatch.setattr(P, "_prem", lambda a, b: prems.append(1) or real(a, b))
+    calls = []
+    real = P._heu_gcd
+    monkeypatch.setattr(P, "_heu_gcd", lambda f, g: calls.append(1) or real(f, g))
     assert poly_gcd(p, q) == one
-    assert prems
+    assert calls
     # h's leading coefficients in a1 and in a2 both vanish, so its images
     # are the constant 1, and the images of p and q are coprime
     c1 = Poly.const(M.point(1))
@@ -455,6 +455,181 @@ def test_certificate_skips_leading_coefficients_divisible_by_the_prime():
     assert not P._coprime(p, q)
     assert poly_gcd(p, q) == h.monic() == a1 + Poly.const(Fraction(1, M.P))
     assert poly_gcd(a1 * a2, a3 + one) == one  # no shared variable
+
+
+# -- nontrivial gcds: the heuristic gcd and its fallback ---------------------------
+
+
+def _mono(*powers):
+    return tuple((v, e) for v, e in enumerate(powers, start=1) if e)
+
+
+# two 4-term polynomials whose gcd is the monomial a1*a2^2*a3^2; the primitive
+# PRS alone took half a minute on them
+REPRODUCER = (
+    Poly({_mono(5, 4, 5): Fraction(-2, 9), _mono(6, 2, 4): Fraction(8, 3),
+          _mono(6, 3, 2): Fraction(4, 3), _mono(3, 2, 2): Fraction(-2, 3)}),
+    Poly({_mono(4, 3, 3): Fraction(2, 3), _mono(1, 4, 5): Fraction(-2, 3),
+          _mono(4, 2, 2): Fraction(8, 3), _mono(2, 2, 4): Fraction(-5, 3)}),
+)
+
+PLANTED = ("dense", "monomial", "linear")
+
+
+def _planted(rng, nv, kind):
+    """A pair h*x, h*y of polynomials in a1..a_nv with a nonconstant
+    common factor h: a dense one of 1-3 terms (cofactors of 2-4 terms),
+    monomial contents around a small shared factor, or shared linear
+    factors a_j - c, the shapes of inclusion-exclusion's denominators."""
+    from conftest import rand_fraction, rand_poly
+
+    variables = tuple(range(1, nv + 1))
+
+    def nonconstant(max_deg, terms):
+        p = one
+        while p.is_const():
+            p = rand_poly(rng, variables, max_deg=max_deg, terms=terms)
+        return p
+
+    def mono():
+        return Poly({_mono(*(rng.randint(0, 2) for _ in variables)): Fraction(1)})
+
+    def linear():
+        return Poly.variable(rng.choice(variables)) - Poly.const(rand_fraction(rng, 3))
+
+    if kind == "dense":
+        h = nonconstant(2, 3)
+        return h * nonconstant(3, 4), h * nonconstant(3, 4)
+    if kind == "monomial":
+        h = one
+        while h.is_const():
+            h = mono() * (nonconstant(1, 2) if rng.random() < 0.5 else one)
+        return h * mono() * nonconstant(2, 4), h * mono() * nonconstant(2, 4)
+    h = linear() * (linear() if rng.random() < 0.5 else one)
+    return h * linear() * linear(), h * linear() * nonconstant(1, 2)
+
+
+def planted_gcds(seed, pairs=600, nv=3):
+    """poly_gcd on seeded planted pairs in nv <= 3 variables, then on the
+    REPRODUCER, each against sympy's gcd.  Returns the counts of the kinds,
+    the slowest gcd's seconds and how often the PRS fallback ran."""
+    import random
+    import time
+
+    import sympy
+
+    import hahnseries.polynomials as P
+
+    gens = sympy.symbols("a1:4")
+    rng = random.Random(seed)
+    cases = [(PLANTED[k % 3], *_planted(rng, nv, PLANTED[k % 3])) for k in range(pairs)]
+    cases.append(("reproducer", *REPRODUCER))
+    kinds, slowest, fallbacks = Counter(), 0.0, []
+    real = P._prs_gcd
+    P._prs_gcd = lambda *a: fallbacks.append(a) or real(*a)
+    try:
+        for kind, p, q in cases:
+            start = time.perf_counter()
+            got = poly_gcd(p, q)
+            slowest = max(slowest, time.perf_counter() - start)
+            want = sympy.gcd(_sympy_poly(sympy, p, gens), _sympy_poly(sympy, q, gens))
+            assert got == _from_sympy(want, 3).monic(), (seed, kind, p, q)
+            kinds[kind] += 1
+    finally:
+        P._prs_gcd = real
+    return kinds, slowest, len(fallbacks)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_planted_gcds_agree_with_sympy(seed):
+    pytest.importorskip("sympy")
+    for nv in (2, 3):
+        kinds, _, fallbacks = planted_gcds(seed, pairs=150, nv=nv)
+        assert set(kinds) == {*PLANTED, "reproducer"}
+        assert fallbacks == 0, (seed, nv)
+
+
+def test_reproducer_needs_no_fallback(monkeypatch):
+    import hahnseries.polynomials as P
+
+    def fail(*args):
+        raise AssertionError("the PRS fallback ran")
+
+    monkeypatch.setattr(P, "_prs_gcd", fail)
+    assert poly_gcd(*REPRODUCER) == Poly({_mono(1, 2, 2): Fraction(1)})
+    # monomial contents alone: one input is a monomial once its own is out
+    p = a1 * a1 * a2 * (a1 + a2 + one)
+    assert poly_gcd(p, a1 * a2 * a2 * a2.scale(3)) == a1 * a2
+    assert poly_gcd(p * (a3 - one), a2 * (a3 - one) * (a1 - a2)) == a2 * (a3 - one)
+
+
+def test_prs_fallback_agrees_with_sympy(rng, monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    import hahnseries.polynomials as P
+
+    gens = sympy.symbols("a1:4")
+    fallbacks = []
+    real = P._prs_gcd
+    monkeypatch.setattr(P, "HEU_TRIES", 0)  # the heuristic gives up at once
+    monkeypatch.setattr(P, "_prs_gcd", lambda *a: fallbacks.append(a) or real(*a))
+    for k in range(45):
+        p, q = _planted(rng, 2 + k % 2, PLANTED[k % 3])
+        want = sympy.gcd(_sympy_poly(sympy, p, gens), _sympy_poly(sympy, q, gens))
+        assert poly_gcd(p, q) == _from_sympy(want, 3).monic(), (p, q)
+    assert len(fallbacks) >= 30
+
+
+def test_heuristic_accepts_only_certified_candidates(monkeypatch):
+    import hahnseries.polynomials as P
+
+    # every image's gcd taken as 1: the candidate 1 divides both inputs,
+    # and only the certificate on the cofactors refuses it
+    real = P._heu
+    monkeypatch.setattr(P, "_heu", lambda f, g, certify=False: real(f, g, True) if certify else {(): 1})
+    h = a1 + a2.scale(2)
+    p, q = h * (a1 - a3), h * (a2 + a3 + one)
+    assert poly_gcd(p, q) == h
+
+
+def test_integer_divexact_matches_dense_view_division(rng, monkeypatch):
+    from conftest import rand_poly
+
+    import hahnseries.polynomials as P
+
+    cases, seen = [], set()
+    for i in range(1200):
+        nv = rng.randint(2, 3)
+        variables = tuple(range(1, nv + 1))
+        q = rand_poly(rng, variables, max_deg=2, terms=3)
+        if len(q.variables()) < 2:
+            q = q + Poly.variable(1) * Poly.variable(nv)
+        case = i % 5
+        if case == 0:  # planted product
+            p = q * rand_poly(rng, variables, max_deg=2, terms=3)
+        elif case == 1:  # usually not divisible
+            p = rand_poly(rng, variables, max_deg=3, terms=5)
+        elif case == 2:  # a planted product plus a remainder of lower degree
+            p = q * rand_poly(rng, variables, max_deg=2, terms=3) + Poly.const(rng.randint(1, 3))
+        elif case == 3:  # quotient with degree gaps
+            p = q * _gappy_poly(rng, nv)
+        else:  # divisor free of the dividend's least variable
+            q = q.subs_var(1, Fraction(rng.randint(1, 3)))
+            if q.is_const():
+                q = a2 + a3
+            p = q * rand_poly(rng, (1, 2, 3), max_deg=2, terms=3)
+        cases.append((p, q, _dense_view_divexact(p, q)))
+    wraps = []
+    monkeypatch.setattr(P, "dense", lambda *a: pytest.fail("a dense view was built"))
+    real = P.from_ints
+    monkeypatch.setattr(P, "from_ints", lambda *a: wraps.append(a) or real(*a))
+    for i, (p, q, want) in enumerate(cases):
+        del wraps[:]
+        got = divexact(p, q)
+        assert got == want, (p, q)
+        # the quotient is wrapped once, and no entry is
+        assert len(wraps) == (got is not None and not p.is_zero()), (p, q)
+        seen.add((i % 5, got is None))
+    assert {(0, False), (1, True), (2, True), (3, False), (4, False)} <= seen
 
 
 # -- the canonical form against plain dicts of Fractions ---------------------------
