@@ -198,7 +198,9 @@ class TruncatedSeries:
         return self._coerce(other) / self
 
     def specialize(self, place: Place) -> "TruncatedSeries":
-        """Apply a place to every coefficient; same precision."""
+        """Apply a place to every coefficient; same precision.  Exponents
+        and their order are unchanged, so the images are wrapped as they
+        are, less those that vanish."""
         out = []
         for e, c in self.terms:
             image = apply_place(c, place)
@@ -206,8 +208,9 @@ class TruncatedSeries:
                 raise NotInValuationRingError(
                     f"coefficient at t^{e} has a pole under {place}"
                 )
-            out.append((e, image))
-        return TruncatedSeries(out, self.prec)
+            if not image.is_zero():
+                out.append((e, image))
+        return TruncatedSeries._of(tuple(out), self.prec)
 
     def split_neg(self):
         """Split into (negative-exponent part, valuation-ring part)."""

@@ -170,27 +170,80 @@ class BasisFamily:
 
 
 def _greedy_reduce(f, basis: BasisFamily):
-    """Leading-term elimination against a basis family.
+    """Leading-term elimination against a basis family, reading the
+    remainder r = f - sum(lam_i b_i) one exponent at a time.
 
-    Returns (remainder, combination coefficients).
+    Returns (coeffs, prec, rest): the combination coefficients, the
+    remainder's precision min(f.prec, b_i.prec of the members used) and,
+    unless r vanishes at prec (rest None), an iterator over r's terms
+    from the first one that no value class eliminates.  No series is
+    built: r is a merge over f's terms and the terms of the members used
+    so far, and the first term that stops the reduction is the only one
+    read beyond the eliminated ones until a caller drains rest.
     """
-    entries = basis.entries
+    entries, scalar_vars = basis.entries, basis.scalars.vars
     coeffs = [Coefficient.zero()] * len(entries)
-    remainder = f
-    while remainder.terms:
-        value, target = remainder.terms[0]
-        idxs = basis.value_classes.get(value)
-        if idxs is None:
-            break
-        sol = in_span(target, [entries[i].leading_coeff() for i in idxs], basis.scalars.vars)
+    heads = [[f.terms, 0, None]]
+    terms = _difference(heads)
+    classes = iter(basis.value_classes.items())
+    value, idxs = next(classes, (None, None))
+    prec = f.prec
+    for e, c in terms:
+        x = e.coords
+        if not x < prec.coords:
+            return coeffs, prec, None
+        while value is not None and value.coords < x:
+            value, idxs = next(classes, (None, None))
+        sol = None
+        if value is not None and value.coords == x:
+            sol = in_span(c, [entries[i].leading_coeff() for i in idxs], scalar_vars)
         if sol is None:
-            break
+            return coeffs, prec, _below_prec(e, c, terms, prec.coords)
         for i, lam in zip(idxs, sol):
             if lam.is_zero():
                 continue
-            coeffs[i] = coeffs[i] + lam
-            remainder = remainder - entries[i].scalar_mul(lam)
-    return remainder, coeffs
+            coeffs[i] = lam
+            q = lam._value()
+            b = entries[i]
+            heads.append([b.terms, 1, -lam if q is None else -q])  # past b's leading term
+            prec = min(prec, b.prec)
+    return coeffs, prec, None
+
+
+def _difference(heads):
+    """The nonzero terms of f - sum(lam_i b_i), in increasing order: a merge
+    over cursors [terms, next position, scale], f's with scale None and
+    one per member with scale -lam_i.  Comparing coords tuples, it hashes
+    no exponent; heads may grow between two terms."""
+    while True:
+        low = None
+        for terms, pos, _ in heads:
+            if pos < len(terms):
+                x = terms[pos][0].coords
+                if low is None or x < low:
+                    low = x
+        if low is None:
+            return
+        total = None
+        for head in heads:
+            terms, pos, scale = head
+            if pos < len(terms) and terms[pos][0].coords == low:
+                e, c = terms[pos]
+                head[1] = pos + 1
+                if scale is not None:
+                    c = c * scale
+                total = c if total is None else total + c
+        if not total.is_zero():
+            yield e, total
+
+
+def _below_prec(e, c, terms, prec):
+    """(e, c) and then the terms below the coords tuple prec."""
+    yield e, c
+    for e, c in terms:
+        if not e.coords < prec:
+            return
+        yield e, c
 
 
 def optimal_approx(f, basis: BasisFamily, with_coeffs=False):
@@ -198,9 +251,11 @@ def optimal_approx(f, basis: BasisFamily, with_coeffs=False):
     valuation metric: w(approx - f) >= w(b - f) for every span element b.
 
     A spanning list that may be dependent is folded into a BasisFamily
-    with extend_basis first.
+    with extend_basis first.  The reduction stops at the first term it
+    cannot eliminate and builds no remainder; the only series built are
+    the scaled members lam_i * b_i and their sum.
     """
-    _, coeffs = _greedy_reduce(f, basis)
+    coeffs, _, _ = _greedy_reduce(f, basis)
     terms = [b.scalar_mul(lam) for lam, b in zip(coeffs, basis.entries) if not lam.is_zero()]
     approx = sum(terms[1:], terms[0]) if terms else TruncatedSeries.zero(f.prec)
     return (approx, coeffs) if with_coeffs else approx
@@ -211,12 +266,16 @@ def extend_basis(basis: BasisFamily, a: TruncatedSeries) -> BasisFamily:
 
     The greedy reduction stops where the remainder's leading term has no
     value class or lies outside its class's span, so the extended family
-    is independent without a second check.
+    is independent without a second check.  The one series built is the
+    remainder, from the rest of the same scan; when nothing was
+    eliminated, a itself is adjoined.
     """
-    remainder, _ = _greedy_reduce(a, basis)
-    if not remainder.terms:
+    coeffs, prec, rest = _greedy_reduce(a, basis)
+    if rest is None:
         return basis
-    return basis._adjoin(remainder)
+    if all(lam.is_zero() for lam in coeffs):
+        return basis._adjoin(a)
+    return basis._adjoin(TruncatedSeries._of(tuple(rest), prec))
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +351,7 @@ def inclusion_exclusion_approx(f: TruncatedSeries, specs, places=None):
     already misses some listed variable a_j equals f's coefficient there:
     the summands of stage subsets S and S + {j} agree at that exponent and
     cancel, all but the one of {j}.  So the summands are added only at the
-    other exponents.
+    other exponents, in a balanced tree (_pairwise_sum).
     """
     images, chosen = _stage_images(f, specs, places)
     summands = {
@@ -301,21 +360,31 @@ def inclusion_exclusion_approx(f: TruncatedSeries, specs, places=None):
     prec = min(f.prec, *(g.prec for g in summands.values()))
     listed = {place.var for place in chosen}
     full = {e for e, c in f.terms if c.variables() == listed}  # f uses every listed variable
-    sums = {}
+    parts = {}
     for g in summands.values():
         for e, c in g.terms:
             if e in full:
-                sums[e] = sums[e] + c if e in sums else c
+                parts.setdefault(e, []).append(c)
     terms = []
     for e, c in f.terms:
         if not e < prec:
             break
         if e in full:
-            c = -sums.get(e, Coefficient.zero())
+            if e not in parts:
+                continue
+            c = -_pairwise_sum(parts[e])
             if c.is_zero():
                 continue
         terms.append((e, c))
     return InclusionExclusionResult(TruncatedSeries._of(tuple(terms), prec), summands, chosen)
+
+
+def _pairwise_sum(xs):
+    """The sum of a nonempty list, added in a balanced tree: each sum adds
+    two of about the same size, where a running sum would grow."""
+    while len(xs) > 1:
+        xs = [a + b for a, b in zip(xs[::2], xs[1::2])] + (xs[-1:] if len(xs) % 2 else [])
+    return xs[0]
 
 
 def mult_inclusion_exclusion(u: OneUnit, specs, places=None):
@@ -402,15 +471,24 @@ class RestrictedExpMap:
         self.images = tuple(images)
 
     def apply(self, eps: TruncatedSeries) -> OneUnit:
-        remainder, coeffs = _greedy_reduce(eps, self.additive)
-        if remainder.terms:
+        """prod(u_i^q_i) for eps = sum(q_i b_i) at precision.  The reduction
+        stops at the first term it cannot eliminate, which refuses eps, and
+        builds no remainder; the only series built are the unit powers and
+        their product.
+
+        The q_i are known to the reduction's precision p = min(eps.prec,
+        b_i.prec of the members used): a hidden tail of eps in the span is
+        sum(r_i b_i) with every v(b_i) >= p, whose image 1 + O(t^p) moves
+        the result at t^p.  So the result is cut at p."""
+        coeffs, prec, rest = _greedy_reduce(eps, self.additive)
+        if rest is not None:
             raise PreconditionError(
                 "argument is not in the additive span at precision"
             )
         result = _unit_product(self.images, coeffs)
         if result is None:
-            return OneUnit(TruncatedSeries.one(eps.prec))
-        return result
+            return OneUnit(TruncatedSeries.one(prec))
+        return OneUnit(result.series.truncate(prec))
 
     def check_homomorphism(self, e1, e2) -> bool:
         lhs = self.apply(e1 + e2)

@@ -18,9 +18,17 @@ from hahnseries.coeffs import INFINITE, Coefficient, Place, apply_place
 from hahnseries.errors import HahnSeriesError, NotInValuationRingError
 from hahnseries.exponents import Exponent
 from hahnseries.series import SeriesPolynomial, TruncatedSeries, eval_poly
+from hahnseries.valuation_spaces import (
+    BasisFamily,
+    ScalarField,
+    build_restricted_exp,
+    inclusion_exclusion_approx,
+    mult_inclusion_exclusion,
+)
 
 HIGH = 20
 HIGH2 = (6, 0)
+QQ = ScalarField.rationals()
 RANK2_SUPPORTS = (
     [(1, -1), (1, 0), (1, 2)],
     [(1, -1), (1, 0), (2, -3)],
@@ -122,6 +130,83 @@ def test_specialize_precision_sound(rng):
         assert agree_below(full.specialize(place), truncated, truncated.prec), (str(f), str(place))
         checked += 1
     assert checked >= 100
+
+
+def _finite_at(f, places):
+    return all(apply_place(c, place) is not INFINITE for _, c in f.terms for place in places)
+
+
+def test_inclexcl_precision_sound(rng):
+    # the places of the truncated call are given to the full one; tails in
+    # Q(a1, a2) with a pole at one of them are skipped, as f has none
+    checked = 0
+    for _ in range(150):
+        f = TruncatedSeries(
+            {Fraction(rng.randint(-2, 10), 2): rand_coeff(rng, (1, 2)) for _ in range(rng.randint(1, 5))},
+            Fraction(rng.randint(1, 10), 2),
+        )
+        try:
+            res = inclusion_exclusion_approx(f, [1, 2])
+        except HahnSeriesError:
+            continue
+        full = with_tail(rng, f, (1, 2))
+        if not _finite_at(full, res.places):
+            continue
+        big = inclusion_exclusion_approx(full, [1, 2], places=res.places)
+        assert agree_below(big.h, res.h, res.h.prec), str(f)
+        for key, g in res.summands.items():
+            assert agree_below(big.summands[key], g, g.prec), (str(f), key)
+        checked += 1
+    assert checked >= 80
+
+
+def test_mult_inclexcl_precision_sound(rng):
+    # 1-units over Q(a1, a2) known to t^P, tails cut at t^(P + 1): the
+    # inverses of the full summands stay cheap
+    checked = 0
+    for _ in range(60):
+        prec = rng.choice((2, 3))
+        eps = rand_eps(rng, prec=prec, variables=(1, 2))
+        u = OneUnit(TruncatedSeries.one(prec) + eps)
+        try:
+            res = mult_inclusion_exclusion(u, [1, 2])
+        except HahnSeriesError:
+            continue
+        full = with_tail(rng, u.series, (1, 2)).truncate(prec + 1)
+        if not _finite_at(full, res.places):
+            continue
+        big = mult_inclusion_exclusion(OneUnit(full), [1, 2], places=res.places)
+        assert agree_below(big.h.series, res.h.series, res.h.series.prec), str(u.series)
+        checked += 1
+    assert checked >= 40
+
+
+def test_restricted_exp_apply_precision_sound(rng):
+    # hidden tails of the additive members, the units and eps, with eps
+    # kept in the span: eps_full = sum(q_i b_i) over the fuller members;
+    # members whose value eps's precision hides still move the image
+    checked = 0
+    for _ in range(60):
+        values = sorted(rng.sample([Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2)],
+                                   rng.randint(1, 3)))
+        additive, units = [], []
+        for v in values:
+            lead = Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2)))
+            tail = {v + Fraction(rng.randint(1, 3), 2): Fraction(rng.randint(-2, 2))}
+            additive.append(TruncatedSeries({v: lead, **tail}, rng.choice((3, 4))))
+            units.append(TruncatedSeries({0: 1, v: lead * rng.choice((1, 2)), v + 1: 1}, rng.choice((3, 4))))
+        full_additive = [with_tail(rng, b).truncate(5) for b in additive]
+        full_units = [with_tail(rng, u).truncate(5) for u in units]
+        qs = [Fraction(rng.randint(-2, 2), rng.choice((1, 2))) for _ in values]
+        eps_full = sum((b.scalar_mul(q) for b, q in zip(full_additive, qs)), TruncatedSeries.zero(5))
+        eps = eps_full.truncate(Fraction(rng.randint(2, 8), 2))
+        small = build_restricted_exp(BasisFamily(additive, QQ), [OneUnit(u) for u in units])
+        big = build_restricted_exp(BasisFamily(full_additive, QQ), [OneUnit(u) for u in full_units])
+        truncated = small.apply(eps).series
+        assert agree_below(big.apply(eps_full).series, truncated, truncated.prec), (
+            [str(b) for b in additive], [str(u) for u in units], str(eps), str(truncated))
+        checked += 1
+    assert checked == 60
 
 
 def test_exp_log_precision_sound(rng):

@@ -313,6 +313,32 @@ def test_phi_commutes_with_eval(rng):
         checked += 1
 
 
+def test_specialize_matches_the_sorting_constructor(rng):
+    # specialize wraps the images as they are: the same series as the
+    # sorting, coercing constructor builds from them, vanishing images
+    # dropped; (a1 - 1)*t^(1/2) and (a2 - 1)/(a1 + 1)*t^2 vanish at a place
+    from hahnseries.coeffs import INFINITE, apply_place
+
+    vanished = 0
+    for k in range(300):
+        data = {Fraction(rng.randint(-4, 12), 2): rand_coeff(rng, (1, 2)) for _ in range(rng.randint(0, 5))}
+        data[Fraction(1, 2)] = a1 - 1
+        if k % 2:
+            data[Fraction(2)] = (a2 - 1) / (a1 + 1)
+        f = TruncatedSeries(data, Fraction(rng.randint(2, 14), 2))
+        place = Place(rng.choice((1, 2)), Fraction(rng.choice((1, 1, -1, 2)), rng.choice((1, 1, 2))))
+        images = [(e, apply_place(c, place)) for e, c in f.terms]
+        if any(image is INFINITE for _, image in images):
+            with pytest.raises(NotInValuationRingError):
+                f.specialize(place)
+            continue
+        got = f.specialize(place)
+        assert got == TruncatedSeries(images, f.prec), (str(f), place)
+        assert all(not c.is_zero() for _, c in got.terms)
+        vanished += len(got.terms) < len(f.terms)
+    assert vanished >= 30, vanished
+
+
 def test_rank_mismatch():
     f = ts({1: 1}, 5)
     g = TruncatedSeries({(1, 0): 1}, (3, 0))

@@ -25,7 +25,6 @@ from hahnseries.valuation_spaces import (
     Skeleton,
     SkeletonClass,
     InclusionExclusionResult,
-    _greedy_reduce,
     _stage_images,
     _unit_product,
     build_restricted_exp,
@@ -246,31 +245,41 @@ def test_extend_basis_idempotent(rng):
 
 
 def test_elimination_callers_build_no_approximant(monkeypatch):
-    # only optimal_approx folds sum(lam_i * b_i); the others use the remainder
-    calls = []
-    real = TruncatedSeries.scalar_mul
+    # the reduction reads the remainder term by term and subtracts no
+    # series: optimal_approx and extend_basis call no __sub__, apply only
+    # through the unit powers' deltas; extend_basis adjoins a itself when
+    # nothing reduces
+    subs = []
+    real = TruncatedSeries.__sub__
 
-    def counting(self, c):
-        calls.append(c)
-        return real(self, c)
+    def counting(self, other):
+        subs.append(other)
+        return real(self, other)
 
     basis = BasisFamily([t_mono(6), ts({2: 1, 3: 1}, 6), t_mono(6, 4, c=5)], QQ)
     a = ts({1: 2, 2: 3, 5: 1}, 6)
-    monkeypatch.setattr(TruncatedSeries, "scalar_mul", counting)
-    grown = extend_basis(basis, a)
-    assert len(calls) == 2
-    monkeypatch.undo()
-    assert grown.entries[-1] == ts({3: -3, 5: 1}, 6)
-
+    alone = ts({Fraction(1, 2): 1, 5: 1}, 6)
     mapping = build_restricted_exp(
         BasisFamily([t_mono(6), t_mono(6, 2)], QQ),
         [OneUnit(one(6) + t_mono(6)), OneUnit(one(6) + t_mono(6, 2))],
     )
-    calls.clear()
-    monkeypatch.setattr(TruncatedSeries, "scalar_mul", counting)
+    monkeypatch.setattr(TruncatedSeries, "__sub__", counting)
+    approx, coeffs = optimal_approx(a, basis, with_coeffs=True)
+    grown = extend_basis(basis, a)
+    kept = extend_basis(basis, alone)
+    with pytest.raises(PreconditionError, match="not in the additive span"):
+        mapping.apply(ts({1: 2, 3: 1}, 6))
+    assert subs == []
     image = mapping.apply(ts({1: 2, 2: 3}, 6))
-    assert len(calls) == 2
+    in_apply = len(subs)
+    subs.clear()
+    _unit_product(mapping.images, [Coefficient.const(2), Coefficient.const(3)])
+    assert in_apply == len(subs) > 0
     monkeypatch.undo()
+    assert approx == ts({1: 2, 2: 3, 3: 3}, 6)
+    assert coeffs == [Coefficient.const(2), Coefficient.const(3), Coefficient.zero()]
+    assert grown.entries[-1] == ts({3: -3, 5: 1}, 6)
+    assert kept.entries[-1] is alone
     u1, u2 = one(6) + t_mono(6), one(6) + t_mono(6, 2)
     assert image.agrees_with(u1 * u1 * u2 * u2 * u2)
 
@@ -879,7 +888,10 @@ def test_chain_union_independent():
 # Before value classes were stored on BasisFamily, the greedy sweep had its
 # own copy (_independent_representatives), the multiplicative
 # inclusion-exclusion divided stage by stage, and build_restricted_exp
-# compared two skeletons and regrouped the units.
+# compared two skeletons and regrouped the units.  The greedy reduction
+# subtracted lam_i * b_i from the whole remainder after every eliminated
+# member (_oracle_greedy_reduce), where the library reads the remainder
+# one exponent at a time.
 
 
 def _oracle_greedy_reduce(f, entries, scalars):
@@ -922,7 +934,7 @@ def _oracle_optimal_approx(f, entries, scalars):
 
 def _oracle_extend_basis(basis, a):
     # the extended family was validated again from scratch
-    remainder, _ = _greedy_reduce(a, basis)
+    remainder, _ = _oracle_greedy_reduce(a, basis.entries, basis.scalars)
     if not remainder.terms:
         return basis
     return BasisFamily(basis.entries + (remainder,), basis.scalars)
@@ -1311,3 +1323,128 @@ def test_extend_basis_runs_no_independence_check(monkeypatch):
     assert len(BasisFamily(family.entries, QQ)) == 12 and len(calls) == 1
     monkeypatch.undo()
     assert is_valuation_independent(family.entries, QQ).independent
+
+
+# -- the greedy reduction against the eager loop ------------------------------------
+
+GREEDY_EXPONENTS = [Fraction(k, 2) for k in range(9)]
+
+
+def _greedy_basis(rng, variables, scalars):
+    """An independent family over scalars whose members end at unequal
+    precisions, with shared leading values."""
+    items = [
+        rand_series(rng, prec=rng.choice((4, 5, 6)), nonzero=True, variables=variables,
+                    exponents=GREEDY_EXPONENTS)
+        for _ in range(rng.randint(1, 5))
+    ]
+    return BasisFamily(_oracle_independent_representatives(items, scalars), scalars)
+
+
+def _greedy_target(rng, entries, variables, scalar_vars, scalar):
+    """(kind, f): a combination of members that cancels completely ("span"),
+    one with a term added ("noise"), a random series, or zero."""
+    kind = rng.choice(("span", "span", "noise", "random", "zero"))
+    prec = rng.choice((3, 4, 5, 6, 7))
+    if kind == "random":
+        return kind, rand_series(rng, prec=prec, variables=variables, exponents=GREEDY_EXPONENTS)
+    f = TruncatedSeries.zero(prec)
+    if kind != "zero":
+        for b in entries:
+            if rng.random() < 0.7:
+                f = f + b.scalar_mul(scalar(rng, scalar_vars))
+    if kind == "noise":
+        c = rand_coeff(rng, variables) if variables else Coefficient.const(rand_fraction(rng))
+        f = f + ts({rng.choice(GREEDY_EXPONENTS): c}, 7)
+    if rng.random() < 0.5:
+        f = ts(f.terms, prec)  # f known further than the members it uses
+    return kind, f
+
+
+def _rational(rng, scalar_vars=()):
+    return Coefficient.const(rand_fraction(rng) or 1)
+
+
+def _greedy_map(rng):
+    """A restricted exponential over Q whose additive members and units end
+    at unequal precisions, with leading coefficients 1 and a1."""
+    values = sorted(rng.sample(GREEDY_EXPONENTS[1:5], rng.randint(1, 3)))
+    additive, units = [], []
+    for v in values:
+        for lead in rng.sample((Coefficient.one(), a1), rng.randint(1, 2)):
+            c = lead * (rand_fraction(rng) or 1)
+            tail = {v + Fraction(rng.randint(1, 3), 2): rand_fraction(rng)}
+            additive.append(ts({v: c, **tail}, rng.choice((3, 4))))
+            ratio = Fraction(rng.randint(1, 3), rng.choice((1, 2)))
+            units.append(OneUnit(ts({0: 1, v: c * ratio, v + Fraction(1, 2): rand_fraction(rng)},
+                                    rng.choice((3, 4)))))
+    return build_restricted_exp(BasisFamily(additive, QQ), units)
+
+
+def _oracle_apply(mapping, eps):
+    remainder, coeffs = _oracle_greedy_reduce(eps, mapping.additive.entries, mapping.additive.scalars)
+    if remainder.terms:
+        raise PreconditionError("argument is not in the additive span at precision")
+    # the image is known to the remainder's precision
+    result = _unit_product(mapping.images, coeffs)
+    if result is None:
+        return OneUnit(TruncatedSeries.one(remainder.prec))
+    return OneUnit(result.series.truncate(remainder.prec))
+
+
+def greedy_against_oracle(seed, cases=40):
+    """Compare optimal_approx (with its coefficients), extend_basis,
+    chain_basis_build and RestrictedExpMap.apply, refusals included, with
+    the eager loop on seeded families over Q and Q(a1), and return the
+    counts of what was checked."""
+    rng = random.Random(seed)
+    counts = Counter()
+    for variables, scalars in [((), QQ), ((1,), QQ), ((1,), ScalarField.with_vars({1}))]:
+        scalar = _scalar if scalars.vars else _rational
+        for k in range(cases):
+            basis = _greedy_basis(rng, variables, scalars)
+            for _ in range(3):
+                kind, f = _greedy_target(rng, basis.entries, variables, scalars.vars, scalar)
+                approx, coeffs = optimal_approx(f, basis, with_coeffs=True)
+                remainder, want = _oracle_greedy_reduce(f, basis.entries, scalars)
+                assert coeffs == want, (seed, k, str(f))
+                assert _series_key(approx) == _series_key(_oracle_optimal_approx(f, basis.entries, scalars))
+                new, old = extend_basis(basis, f), _oracle_extend_basis(basis, f)
+                assert _family_key(new) == _family_key(old), (seed, k, str(f))
+                assert (new.entries[-1] is f) == (old.entries[-1] is f)
+                counts[kind] += 1
+                counts["cancelled" if not remainder.terms else "stopped"] += 1
+                if any(not lam.is_zero() and b.prec < f.prec for lam, b in zip(want, basis.entries)):
+                    counts["lower precision used"] += 1
+            # three stages of two inputs each, the later ones partly in the span
+            stages = [[_greedy_target(rng, basis.entries, variables, scalars.vars, scalar)[1]
+                       for _ in range(2)] for _ in range(3)]
+            got = chain_basis_build(stages, [set(variables)] * 3, scalars)
+            old = BasisFamily((), scalars)
+            for inputs, family in zip(stages, got):
+                for s in inputs:
+                    old = _oracle_extend_basis(old, s)
+                assert _family_key(family) == _family_key(old), (seed, k)
+            counts["chain"] += 1
+    for k in range(cases):
+        mapping = _greedy_map(rng)
+        entries = mapping.additive.entries
+        for _ in range(3):
+            kind, eps = _greedy_target(rng, entries, (1,), (), _rational)
+            new, old = _outcome(mapping.apply, eps), _outcome(_oracle_apply, mapping, eps)
+            assert new[0] == old[0], (seed, k, str(eps))
+            if new[0] == "err":
+                assert new[1:] == old[1:]
+                counts["apply refused"] += 1
+            else:
+                assert _series_key(new[1].series) == _series_key(old[1].series), (seed, k, str(eps))
+                counts["apply answered"] += 1
+    return counts
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_greedy_reduction_matches_the_eager_loop(seed):
+    counts = greedy_against_oracle(seed)
+    for what in ("span", "noise", "random", "zero", "cancelled", "stopped", "lower precision used",
+                 "apply refused", "apply answered"):
+        assert counts[what] >= 10, counts
