@@ -27,7 +27,7 @@ from operator import add, sub
 
 from .coeffs import Coefficient
 from .errors import PrecisionError, PreconditionError
-from .exponents import Exponent, as_exponent
+from .exponents import as_exponent
 from .polynomials import poly_sqrt
 from .series import (
     SeriesPolynomial,
@@ -40,8 +40,10 @@ from .series import (
     _lift_poly,
     _mul,
     _reach_class,
+    _shift,
     _truncate,
     _v_min,
+    _wrap,
     eval_poly,
     first_order,
 )
@@ -272,30 +274,6 @@ def verify_root(q: SeriesPolynomial, f: TruncatedSeries):
 # Newton-Puiseux expansion
 
 
-def _lower_hull(points):
-    """Lower convex hull of (i, v) points with i strictly increasing."""
-    hull = []
-    for p in points:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            # keep turn strictly convex; drop points above or on the chord
-            if (p[1] - y1).scale(x2 - x1) <= (y2 - y1).scale(p[0] - x1):
-                hull.pop()
-            else:
-                break
-        hull.append(p)
-    return hull
-
-
-def _edges(points):
-    hull = _lower_hull(points)
-    out = []
-    for (i1, v1), (i2, v2) in zip(hull, hull[1:]):
-        mu = (v1 - v2).scale(Fraction(1, i2 - i1))
-        out.append((mu, i1, i2))
-    return out
-
-
 def _initial_form_roots(psi):
     """Distinct roots of psi, of degree <= 2, whose ends (hull vertices) are nonzero."""
     deg = len(psi) - 1
@@ -329,17 +307,6 @@ def _coefficient_sqrt(c: Coefficient):
     return Coefficient(rn, rd, _canonical=True)
 
 
-def _shift_poly(q: SeriesPolynomial, c: Coefficient, mu: Exponent):
-    """Coefficients of q(c*t^mu + y), by repeated synthetic division
-    (Horner's Taylor shift); every product by c*t^mu is lossless."""
-    a = list(q.coeffs)
-    d = len(a) - 1
-    for j in range(d):
-        for i in range(d - 1, j - 1, -1):
-            a[i] = a[i] + a[i + 1].shift_scale(c, mu)
-    return SeriesPolynomial(a)
-
-
 def newton_puiseux(q: SeriesPolynomial, prec, branch_count=None):
     """Fractional-exponent series roots of q via the Newton polygon, each
     known to the precision that q's coefficients determine.
@@ -366,6 +333,27 @@ def newton_puiseux(q: SeriesPolynomial, prec, branch_count=None):
     squarefree or its known coefficients do not determine the roots.
     An expansion of more than PUISEUX_STEPS nodes, one per root term,
     raises PrecisionError.
+
+    q is lifted once (series._lift) onto the grid 1/G, G = g*lcm(1..n), g
+    the grid of q's exponents and prec, n = deg q.  The polygon, the
+    slopes, the certificate and the Taylor shifts (series._shift) run on
+    index tuples and, over Q, integer numerators; only psi's entries and
+    the roots are wrapped.  Every slope of a certified branch lies on that
+    grid.  Proof: let a node's exponents lie on 1/(g*N) and its kept edges
+    end at indices <= m, N*m <= n (at the root N = 1, m = n).  The points
+    (j, v_j) on a kept edge from i1 to i2 of slope mu, of denominator b
+    over that grid, have b | j - i1, so psi is a polynomial in c^b and a
+    root c of multiplicity k has b*k <= i2 - i1 <= m: mu lies on
+    1/(g*N*b), N*b <= n.  In the child P(c*t^mu + y) every visible point
+    lies on or above the edge's line v + j*mu = w, where the coefficient of
+    y^j is Phi^(j)(c)/j!, Phi(y) = sum_j psi_(j-i1) y^j: 0 for j < k, not
+    for j = k.  If that term of y^k is visible, it is a vertex on the line,
+    every edge of slope > mu ends at an index <= k, and N*b*k <= N*m <= n.
+    Otherwise p_i + i*mu <= w for some P_i, i >= k, zero at precision;
+    then the child's coefficients of y^0 .. y^i are zero at precision below
+    the line, and stay so in its subtree, each later line lying above, so
+    all its leaves are refused.  Only there may a slope leave the grid,
+    and it is kept as an exact Fraction.
     """
     if branch_count is not None and branch_count < 0:
         raise PreconditionError(f"branch count must be nonnegative, got {branch_count}")
@@ -376,43 +364,54 @@ def newton_puiseux(q: SeriesPolynomial, prec, branch_count=None):
         raise PreconditionError("polynomial must have positive degree")
     if q.coeffs[-1].is_zero_at_prec():
         raise PrecisionError("leading coefficient is zero at the working precision")
+    grid, (*poly, top) = _lift_poly(
+        q.coeffs, TruncatedSeries.zero(prec), lcm(*range(1, q.degree + 1))
+    )
+    top = top.prec[0]
+
+    def low(x):
+        """x's v_floor, as an index."""
+        return next(iter(x.terms), x.prec)[0]
 
     def certify(poly):
-        """The root's precision from its shifted polynomial, or None."""
-        p0, p1, *rest = poly.coeffs
+        """The root's precision index from its shifted polynomial, or None."""
+        p0, p1, *rest = poly
         if not p1.terms:
             return None
-        d = p1.terms[0][0]
-        s = p0.v_floor() - d
+        d = low(p1)
+        s = low(p0) - d
         for k, pk in enumerate(rest, 2):
-            if not pk.v_floor() > d - s.scale(k - 1):
+            if not low(pk) > d - s * (k - 1):
                 return None
-        return min(prec, p0.prec - d)
+        return min(top, p0.prec[0] - d)
 
     def survey(poly, mu_lower):
         """The node's edges above mu_lower and below prec, as (mu, psi)
-        pairs, and whether the node ends a branch."""
-        coeffs = poly.coeffs
-        leaf = coeffs[0].is_zero_at_prec()
-        points = [
-            (i, cf.terms[0][0]) for i, cf in enumerate(coeffs) if cf.terms
-        ]
-        values = dict(points)
+        pairs, and whether the node ends a branch.  An edge is kept or not
+        by cross-multiplication; only a kept edge's slope is divided out."""
+        leaf = not poly[0].terms
+        hull = []
+        for p in ((i, low(x)) for i, x in enumerate(poly) if x.terms):
+            # keep the turn strictly convex: drop points above or on the chord
+            while len(hull) >= 2 and (
+                (p[1] - hull[-2][1]) * (hull[-1][0] - hull[-2][0])
+                <= (hull[-1][1] - hull[-2][1]) * (p[0] - hull[-2][0])
+            ):
+                hull.pop()
+            hull.append(p)
         edges = []
-        for mu, i1, i2 in _edges(points):
-            if mu_lower is not None and not mu > mu_lower:
+        for (i1, v1), (i2, v2) in zip(hull, hull[1:]):
+            rise, run = v1 - v2, i2 - i1
+            if mu_lower is not None and not rise > mu_lower * run:
                 continue
-            if not mu < prec:
+            if not rise < top * run:
                 leaf = True  # the root continues below the precision bound
                 continue
-            v1 = values[i1]
-            psi = []
-            for j in range(i1, i2 + 1):
-                cf = coeffs[j]
-                on_edge = (
-                    cf.terms and cf.terms[0][0] == v1 - mu.scale(j - i1)
-                )
-                psi.append(cf.terms[0][1] if on_edge else Coefficient.zero())
+            mu = rise // run if rise % run == 0 else Fraction(rise, run)  # see the grid proof
+            # the lowest values of the coefficients on the edge, else 0
+            psi = [_wrap(x, next(iter(x.terms.values())))
+                   if x.terms and low(x) == v1 - mu * (j - i1) else Coefficient.zero()
+                   for j, x in enumerate(poly[i1:i2 + 1], i1)]
             edges.append((mu, psi))
         return edges, leaf
 
@@ -432,14 +431,14 @@ def newton_puiseux(q: SeriesPolynomial, prec, branch_count=None):
             cs = _initial_form_roots(psi)
             for k, c in enumerate(cs, 1):
                 last = n == len(edges) and k == len(cs)
-                yield [_shift_poly(held.pop() if last else held[0], c, mu)], mu, (head, mu, c)
+                yield [_shift(held.pop() if last else held[0], c, mu)], mu, (head, mu, c)
         if leaf:
             data.append((head, tau))
 
     # depth first on a stack of generators rather than by recursion, as a
     # branch is one node deeper per root term
     data, nodes = [], 0
-    stack = [expand([q], None, None)]
+    stack = [expand([poly], None, None)]
     while stack:
         child = next(stack[-1], None)
         if child is None:
@@ -458,8 +457,8 @@ def newton_puiseux(q: SeriesPolynomial, prec, branch_count=None):
         terms = []
         while head:
             head, mu, c = head
-            terms.append((mu, c))
-        roots.append(TruncatedSeries(terms, tau))
+            terms.append((Fraction(mu, grid), c))
+        roots.append(TruncatedSeries(terms, Fraction(tau, grid)))
     roots.sort(key=lambda s: [(e.coords, str(c)) for e, c in s.terms])
     if branch_count is not None:
         roots = roots[:branch_count]

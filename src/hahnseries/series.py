@@ -146,11 +146,11 @@ class TruncatedSeries:
     def scalar_mul(self, c) -> "TruncatedSeries":
         """Multiply by an exact coefficient; precision is unchanged."""
         c = as_coefficient(c)
-        if c == 1:
+        q = c._value()  # None outside Q, where c is not 0 or 1
+        if q == 1:
             return self
-        if c.is_zero():
+        if q == 0:
             return TruncatedSeries.zero(self.prec)
-        q = c._value()
         scalar = c if q is None else q  # a rational scales each term: no gcd
         return TruncatedSeries._of(tuple((e, k * scalar) for e, k in self.terms), self.prec)
 
@@ -488,15 +488,16 @@ def _exponent(e, grid):
     return Exponent._of(tuple(Fraction(i, grid) for i in e))
 
 
-def _lift(*series):
+def _lift(*series, refine=1):
     """The kernels' entry: the least grid 1/L holding every exponent and
     precision of series, and each series as a _Lift on it, its values the
     Fractions of its coefficients if all of series are rational, else the
     Coefficients.  Every exponent and precision a kernel forms from them is
     a sum or difference of theirs, so it lies on the same grid, where index
-    tuples add, subtract and compare as the exponents do."""
+    tuples add, subtract and compare as the exponents do.  A caller that
+    forms other exponents asks for the finer grid 1/(L*refine)."""
     exps = [f.prec for f in series] + [e for f in series for e, _ in f.terms]
-    grid = lcm(*{q.denominator for e in exps for q in e.coords})
+    grid = refine * lcm(*{q.denominator for e in exps for q in e.coords})
     values = [[c._value() for _, c in f.terms] for f in series]
     plain = all(v is not None for vs in values for v in vs)
     return grid, [
@@ -506,10 +507,10 @@ def _lift(*series):
     ]
 
 
-def _lift_poly(coeffs, f):
-    """_lift for Horner's rule: the coefficients and f, ranks checked, each
-    on integers where it fits (see _ints)."""
-    grid, lifted = _lift(*map(f._coerce, coeffs), f)
+def _lift_poly(coeffs, f, refine=1):
+    """_lift for Horner's rule and the Taylor shift: the coefficients and f,
+    ranks checked, each on integers where it fits (see _ints)."""
+    grid, lifted = _lift(*map(f._coerce, coeffs), f, refine=refine)
     return grid, [_ints(x) for x in lifted]
 
 
@@ -520,13 +521,16 @@ def _v_min(x, grid):
 
 def _drop(x, grid):
     """The kernels' exit: x as a series, each term wrapped once."""
-    if x.den is not None:
-        d = x.den
-        kept = ((e, Coefficient.const(Fraction(k, d))) for e, k in x.terms.items())
-    else:
-        kept = ((e, Coefficient.const(v) if type(v) is Fraction else v) for e, v in x.terms.items())
-    terms = tuple((Exponent._of(tuple(Fraction(i, grid) for i in e)), c) for e, c in kept)
+    terms = tuple((Exponent._of(tuple(Fraction(i, grid) for i in e)), _wrap(x, v))
+                  for e, v in x.terms.items())
     return TruncatedSeries._of(terms, _exponent(x.prec, grid))
+
+
+def _wrap(x, v):
+    """The Coefficient of the value v of x."""
+    if x.den is not None:
+        return Coefficient.const(Fraction(v, x.den))
+    return Coefficient.const(v) if type(v) is Fraction else v
 
 
 def _den(x):
@@ -629,7 +633,10 @@ def _add(a, b, prec, sign=1):
     ints = den is not None and den.bit_length() - 1 <= INT_BITS
     a, b = _as(a, da, ints), _as(b, db, ints)
     ka, kb = (den // da, sign * den // db) if ints else (1, sign)
-    out = {e: v if ka == 1 else v * ka for e, v in a.terms.items() if e < prec}
+    if ka == 1 and (not a.terms or next(reversed(a.terms)) < prec):
+        out = dict(a.terms)  # nothing to scale or cut
+    else:
+        out = {e: v if ka == 1 else v * ka for e, v in a.terms.items() if e < prec}
     for e, v in b.terms.items():
         if not e < prec:
             break
@@ -655,6 +662,39 @@ def _horner(coeffs, x):
         acc = _mul(acc, x)
         acc = _add(acc, c, min(acc.prec, c.prec))
     return acc
+
+
+def _scale(x, c, m):
+    """x times the monomial c*t^e, at rank 1 with m the index of e, for a
+    nonzero Fraction c, or a Coefficient c outside Q: every term and the
+    precision move by m, so nothing is cut.  On integers c's numerator
+    scales the numerators and its denominator the denominator, which the
+    next sum reduces."""
+    if x.den is not None and type(c) is Fraction:
+        n, den = c.numerator, x.den * c.denominator
+        values = [k * n for k in x.terms.values()]
+    else:
+        x, den = _as(x, None, False), None
+        values = [v * c for v in x.terms.values()]
+    return _Lift(den, dict(zip([(f + m,) for (f,) in x.terms], values)), (x.prec[0] + m,))
+
+
+def _shift(coeffs, c, m):
+    """The coefficients of sum_i coeffs[i] (y + c t^e)^i, at rank 1 with m
+    the index of e, for a nonzero Coefficient c: Horner's Taylor shift by
+    repeated synthetic division, a[i] += (c t^e) a[i+1], each product
+    lossless (_scale), each sum at the lesser precision of its terms.  A
+    rational c scales as a Fraction, values outside Q too
+    (Coefficient.scale: no gcd)."""
+    q = c._value()
+    c = c if q is None else q
+    a = list(coeffs)
+    d = len(a) - 1
+    for j in range(d):
+        for i in range(d - 1, j - 1, -1):
+            b = _scale(a[i + 1], c, m)
+            a[i] = _add(a[i], b, min(a[i].prec, b.prec))
+    return a
 
 
 def _inv(x):

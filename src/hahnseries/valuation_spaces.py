@@ -98,8 +98,10 @@ class IndependenceResult:
 
 
 def _value_classes(vs):
-    """{value: member indices} of a family of nonzero series, in
-    increasing value order."""
+    """{value: member indices} of a family of series, in increasing value
+    order; a series zero at precision has no value and is refused."""
+    if not all(s.terms for s in vs):
+        raise PreconditionError("zero series (at precision) in the family")
     classes = {}
     for idx, s in enumerate(vs):
         classes.setdefault(s.terms[0][0], []).append(idx)
@@ -108,12 +110,11 @@ def _value_classes(vs):
 
 def is_valuation_independent(vs, scalars: ScalarField) -> IndependenceResult:
     """Decide valuation independence; on failure return a scalar witness
-    r with v(sum r_i vs_i) > min v(vs_i)."""
+    r with v(sum r_i vs_i) > min v(vs_i).  A BasisFamily hands over its
+    value classes, which are not computed again."""
+    classes = vs.value_classes if isinstance(vs, BasisFamily) else None
     vs = list(vs)
-    for s in vs:
-        if not s.terms:
-            raise PreconditionError("zero series (at precision) in the family")
-    for value, idxs in _value_classes(vs).items():
+    for value, idxs in (_value_classes(vs) if classes is None else classes).items():
         leading = [vs[i].leading_coeff() for i in idxs]
         combo = null_combination(leading, scalars.vars)
         if combo is not None:
@@ -131,16 +132,15 @@ class BasisFamily:
     __slots__ = ("entries", "scalars", "value_classes")
 
     def __init__(self, entries, scalars: ScalarField):
-        entries = tuple(entries)
-        if entries:
-            result = is_valuation_independent(entries, scalars)
+        self.entries = tuple(entries)
+        self.scalars = scalars
+        self.value_classes = _value_classes(self.entries)
+        if self.entries:
+            result = is_valuation_independent(self, scalars)
             if not result:
                 raise DependenceError(
                     f"family is valuation dependent at value {result.value}"
                 )
-        self.entries = entries
-        self.scalars = scalars
-        self.value_classes = _value_classes(entries)
 
     def _adjoin(self, s) -> "BasisFamily":
         """The family with s appended, trusted to stay independent.

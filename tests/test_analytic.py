@@ -13,7 +13,7 @@ import hahnseries.analytic as analytic
 from conftest import rand_coeff, rand_eps, rand_fraction, rand_series
 from test_series import _public_eval_poly
 from hahnseries.coeffs import Coefficient
-from hahnseries.errors import PrecisionError, PreconditionError
+from hahnseries.errors import HahnSeriesError, PrecisionError, PreconditionError
 from hahnseries.exponents import Exponent, as_exponent, reach_count
 from hahnseries import series as series_module
 from hahnseries.series import (
@@ -25,7 +25,6 @@ from hahnseries.series import (
 )
 from hahnseries.analytic import (
     OneUnit,
-    _shift_poly,
     exp,
     hensel_lift,
     log,
@@ -881,7 +880,209 @@ def test_shift_poly_matches_binomial_expansion(rng):
         ]
         q = SeriesPolynomial(coeffs)
         c, mu = rng.choice(shifts), rng.choice(slopes)
-        assert _shift_poly(q, c, mu).coeffs == binomial_shift(q, c, mu).coeffs
+        # lift onto a grid that holds mu, shift, drop
+        grid, lifted = series_module._lift_poly(coeffs, TruncatedSeries.zero(mu))
+        shifted = series_module._shift(lifted[:-1], c, series_module._indices(mu, grid)[0])
+        assert tuple(series_module._drop(x, grid) for x in shifted) == binomial_shift(q, c, mu).coeffs
+
+
+# -- newton_puiseux against the wrapped expansion ------------------------------------
+# Before the expansion ran on one lift, every node went through the public
+# TruncatedSeries, Exponent and Coefficient operations: the hull and the
+# slopes on Exponents, the Taylor shift by merge sums of shift_scale.  That
+# expansion is kept here as the oracle (_oracle_newton_puiseux); the library
+# runs the same polygon on index tuples and integer numerators.
+
+
+def _oracle_lower_hull(points):
+    hull = []
+    for p in points:
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (p[1] - y1).scale(x2 - x1) <= (y2 - y1).scale(p[0] - x1):
+                hull.pop()
+            else:
+                break
+        hull.append(p)
+    return hull
+
+
+def _oracle_shift_poly(coeffs, c, mu):
+    a = list(coeffs)
+    d = len(a) - 1
+    for j in range(d):
+        for i in range(d - 1, j - 1, -1):
+            a[i] = a[i] + a[i + 1].shift_scale(c, mu)
+    return a
+
+
+def _oracle_newton_puiseux(q, prec):
+    prec = as_exponent(prec)
+    if prec.rank != 1:
+        raise PreconditionError("expansion requires rank-1 exponents")
+    if q.degree < 1:
+        raise PreconditionError("polynomial must have positive degree")
+    if q.coeffs[-1].is_zero_at_prec():
+        raise PrecisionError("leading coefficient is zero at the working precision")
+
+    def certify(poly):
+        p0, p1, *rest = poly
+        if not p1.terms:
+            return None
+        d = p1.terms[0][0]
+        s = p0.v_floor() - d
+        for k, pk in enumerate(rest, 2):
+            if not pk.v_floor() > d - s.scale(k - 1):
+                return None
+        return min(prec, p0.prec - d)
+
+    def survey(poly, mu_lower):
+        leaf = poly[0].is_zero_at_prec()
+        points = [(i, cf.terms[0][0]) for i, cf in enumerate(poly) if cf.terms]
+        values = dict(points)
+        edges = []
+        hull = _oracle_lower_hull(points)
+        for (i1, v1), (i2, v2) in zip(hull, hull[1:]):
+            mu = (v1 - v2).scale(Fraction(1, i2 - i1))
+            if mu_lower is not None and not mu > mu_lower:
+                continue
+            if not mu < prec:
+                leaf = True
+                continue
+            psi = []
+            for j in range(i1, i2 + 1):
+                cf = poly[j]
+                on_edge = cf.terms and cf.terms[0][0] == values[i1] - mu.scale(j - i1)
+                psi.append(cf.terms[0][1] if on_edge else Coefficient.zero())
+            edges.append((mu, psi))
+        return edges, leaf
+
+    def expand(poly, mu_lower, head):
+        nonlocal nodes
+        nodes += 1
+        if nodes > analytic.PUISEUX_STEPS:
+            raise PrecisionError("expansion step budget exhausted")
+        edges, leaf = survey(poly, mu_lower)
+        for mu, psi in edges:
+            for c in analytic._initial_form_roots(psi):
+                expand(_oracle_shift_poly(poly, c, mu), mu, head + [(mu, c)])
+        if leaf:
+            data.append((head, certify(poly)))
+
+    data, nodes = [], 0
+    expand(list(q.coeffs), None, [])
+    if any(tau is None for _, tau in data):
+        raise PreconditionError(
+            "roots not separated at the working precision: the polynomial is not"
+            " squarefree, or its known coefficients do not determine the roots"
+        )
+    roots = [TruncatedSeries(terms, tau) for terms, tau in data]
+    roots.sort(key=lambda s: [(e.coords, str(c)) for e, c in s.terms])
+    return roots
+
+
+def _planted_puiseux(rng, field):
+    """lead * product of planted factors over Q or Q(a1), with some
+    coefficients cut to a hidden O(t^e) tail; and a solve precision.
+
+    The factors are y - r for r on the 1, 1/2 and 1/3 grids, ramified
+    y^2 - c^2 t^(2k+1), sometimes a repeated one (not separated), and
+    rarely y^3 - t (a cubic initial form); the lead is 1 or t, cut at its
+    valuation now and then (a leading coefficient zero at precision).
+    """
+    high = 12
+    scalars = (1, -1, 2, -3, Fraction(1, 2)) + ((a1, -a1, 1 + a1) if field else ())
+
+    def r():
+        data = {}
+        for _ in range(rng.randint(1, 3)):
+            data[Fraction(rng.randint(0, 6), rng.choice((1, 2, 3)))] = rng.choice(scalars)
+        return [-ts(data, high), one(high)]
+
+    def ramified():
+        c = rng.choice(scalars)
+        return [ts({2 * rng.randint(0, 2) + 1: -c * c}, high), ts({}, high), one(high)]
+
+    poly = [ts({rng.choice((0, 0, 0, 1)): 1}, high)]
+    factors = []
+    while sum(len(f) - 1 for f in factors) < rng.randint(1, 4):
+        f = ramified() if rng.random() < 0.3 else r()
+        factors.append(f)
+        if rng.random() < 0.08:
+            factors.append(f)
+        elif rng.random() < 0.04:
+            factors.append([ts({1: -1}, high), ts({}, high), ts({}, high), one(high)])
+    for f in factors:
+        out = [ts({}, high)] * (len(poly) + len(f) - 1)
+        for i, x in enumerate(poly):
+            for j, y in enumerate(f):
+                out[i + j] = out[i + j] + x * y
+        poly = out
+    prec = rng.randint(2, 7)
+    coeffs = [c.truncate(Fraction(rng.randint(0, 2 * prec), rng.choice((1, 2, 3))) if rng.random() < 0.2 else prec)
+              for c in poly]
+    if rng.random() < 0.05:
+        coeffs[-1] = poly[-1].truncate(poly[-1].terms[0][0])  # the lead, cut at its valuation
+    return SeriesPolynomial(coeffs), prec + rng.randint(-1, 2)
+
+
+def _puiseux_outcome(solve, q, prec):
+    try:
+        return "roots", [(str(r), str(r.prec)) for r in solve(q, prec)]
+    except HahnSeriesError as err:
+        return "refused", (type(err).__name__, str(err))
+
+
+def puiseux_against_oracle(seed, cases=200):
+    """Compare newton_puiseux with the wrapped expansion on planted inputs
+    over Q and Q(a1): the str of every root, each precision, and every
+    refusal's type and message; some inputs run under a small node
+    budget.  An answered input must also have shifted by integer indices
+    only: every slope of a certified branch lies on the lift's grid.
+    Returns the counts of what was compared."""
+    rng = random.Random(seed)
+    counts = Counter()
+    budget, shift, slopes = analytic.PUISEUX_STEPS, analytic._shift, []
+
+    def recording(coeffs, c, mu):
+        slopes.append(mu)
+        return shift(coeffs, c, mu)
+
+    for k in range(cases):
+        field = k % 2
+        q, prec = _planted_puiseux(rng, field)
+        slopes.clear()
+        try:
+            analytic._shift = recording
+            if k % 8 == 3:  # a small node budget
+                analytic.PUISEUX_STEPS = rng.randint(1, 3)
+            got = _puiseux_outcome(newton_puiseux, q, prec)
+            want = _puiseux_outcome(_oracle_newton_puiseux, q, prec)
+        finally:
+            analytic.PUISEUX_STEPS, analytic._shift = budget, shift
+        assert got == want, (seed, k, str(q), prec)
+        assert got[0] == "refused" or all(type(mu) is int for mu in slopes), (seed, k, str(q))
+        counts["Q(a1)" if field else "Q"] += 1
+        if got[0] == "roots":
+            counts["answered"] += 1
+            roots = " ".join(root for root, _ in got[1])
+            counts["1/2 grid"] += "/2)" in roots
+            counts["1/3 grid"] += "/3)" in roots
+        else:
+            message = got[1][1]
+            counts[next((what for what in ("not separated", "budget", "leading coefficient",
+                                           "exceeds the quadratic", "no rational root")
+                         if what in message), message)] += 1
+        counts["hidden tail"] += any(c.prec < as_exponent(prec) for c in q.coeffs)
+    return counts
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_puiseux_matches_the_wrapped_expansion(seed):
+    counts = puiseux_against_oracle(seed)
+    for what in ("Q", "Q(a1)", "answered", "1/2 grid", "1/3 grid", "hidden tail",
+                 "not separated", "budget", "leading coefficient"):
+        assert counts[what] >= 3, counts
 
 
 # -- rational reconstruction ----------------------------------------------------
