@@ -11,39 +11,55 @@ primitive, so a product is c1*c2 times the integer convolution z1*z2
 with only its sign to fix; scaling, negation and monic change c alone,
 and a sum takes one integer gcd.  The graded lex order fixes leading
 coefficients, hence the canonical form of fractions, and the printed
-order of terms.  Algorithms that treat a polynomial as univariate in
-one variable work on its dense view: ``dense(p, var)`` lists its
-coefficients (polynomials in the other variables) by power, and
-``_join`` is its inverse.  Most gcds the coefficient field asks for are
-1.  Gcd first tries a coprimality certificate, the first step of
-Brown's modular gcd (J. ACM 18, 1971): for each variable x of both
-inputs, the other variables go to fixed points (``modular``) mod the prime
-2^61 - 1, and a univariate gcd of degree 0 of the integer parts' images
-shows that x does not occur in the gcd.  This is sound: by Gauss's
-lemma the gcd h divides both integer parts in Z[a1, ...], so its image
-divides both images; and lc_x(h) divides lc_x of each input, so the
-image of h keeps its degree in x when either input's leading
-coefficient survives the evaluation.  A nontrivial gcd in one variable
-is Euclid's on integers (a primitive PRS).  In more variables it is the
-heuristic gcd GCDHEU (Char, Geddes & Gonnet, J. Symb. Comput. 7, 1989)
-on the integer parts, after their monomial contents: the least variable
-goes to an integer xi, the gcd of the images recurses down to an
-integer gcd, and the candidate h is rebuilt from symmetric xi-adic
-digits.  It is accepted only when h divides both parts f and g and the
-certificate above proves f/h and g/h coprime, for then
+order of terms.  Every algorithm below runs on integer parts; one that
+treats a polynomial as univariate in a variable x works on its buckets,
+integer dicts free of x indexed by power.
+
+A gcd runs on the integer parts, and its answer is wrapped once.  Most
+gcds the coefficient field asks for are 1.  The first step is a
+coprimality certificate, the first step of Brown's modular gcd (J. ACM
+18, 1971): for each variable x of both inputs, the other variables go to
+fixed points (``modular``) mod the prime 2^61 - 1, and a univariate gcd
+of degree 0 of the images shows that x does not occur in the gcd.  This
+is sound: by Gauss's lemma the gcd h divides both integer parts in
+Z[a1, ...], so its image divides both images; and lc_x(h) divides lc_x
+of each input, so the image of h keeps its degree in x when either
+input's leading coefficient survives the evaluation.  A nontrivial gcd
+in one variable is Euclid's on integers (a primitive PRS).  In more
+variables the monomial contents come out first, and then the heuristic
+gcd GCDHEU (Char, Geddes & Gonnet, J. Symb. Comput. 7, 1989) runs: the
+least variable goes to an integer xi, the gcd of the images recurses
+down to an integer gcd, and the candidate h is rebuilt from symmetric
+xi-adic digits.  It is accepted only when h divides both parts f and g
+and the certificate above proves f/h and g/h coprime, for then
 gcd(f, g) = h*gcd(f/h, g/h) = h, whatever xi was.  Otherwise xi grows
-(by sympy's rule) for a few tries, and then a primitive pseudo-remainder
-sequence (PRS) on dense views gives the answer.  Exact division is long
-division on the integer parts, whose quotient is integral when it exists
-(Gauss's lemma): in the least variable, each entry of the quotient is an
-exact quotient by the divisor's top entry, so it stops at the first one
-that does not divide.  Perfect-square detection supports quadratic
-initial forms.
+(by sympy's rule) for a few tries, and then a primitive
+pseudo-remainder sequence (PRS) on buckets in the least variable gives
+the answer; the content of a bucket list, the gcd of its entries with
+their integer gcd included, is a gcd in fewer variables by the same
+order.  Exact division is long division on the integer parts, whose
+quotient is integral when it exists (Gauss's lemma): in the least
+variable, each entry of the quotient is an exact quotient by the
+divisor's top entry, so it stops at the first one that does not divide.
+
+A square root r = c_r*z_r of p (for quadratic initial forms) has
+p.c = s*c_r^2 and p.z = s*z_r^2 for one sign s, since z_r^2 is primitive
+but its value at min may be negative: (a1 - a2)^2 has content -1.  The
+integer part's root is rebuilt from the symmetric xi-adic digits of the
+root of z(xi), found the same way, where z = s*p.z, x is its least
+variable, xi = 2*isqrt(|z|_1) + 2 and |z|_1 is the sum of the absolute
+values of z's coefficients.  Every coefficient of z_r lies below xi/2 in
+absolute value: by Parseval on the unit torus,
+max|coeff| <= |z_r|_2 = (mean of |z| over the torus)^(1/2) <= |z|_1^(1/2),
+so the digits give back +-z_r exactly when z is a square.  A candidate
+that does not square back to z thus proves that z is no square, and no
+fallback is needed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd, isqrt, lcm
 
 from .modular import Powers, gcd_degree, value
@@ -159,7 +175,7 @@ class Poly:
         raise ValueError("not a constant polynomial")
 
     def variables(self):
-        return {v for m in self.z for v, _ in m}
+        return _variables(self.z)
 
     def leading_mono(self):
         return max(self.z, key=grlex_key)
@@ -200,16 +216,7 @@ class Poly:
             return _new(c, z1)
         if len(z1) == 1 and () in z1:
             return _new(c, z2)
-        out = {}
-        get = out.get
-        for m1, v1 in z1.items():
-            for m2, v2 in z2.items():
-                m = mono_mul(m1, m2)
-                s = get(m, 0) + v1 * v2
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
+        out = _zmul(z1, z2)
         # primitive by Gauss's lemma; the sign rule is not multiplicative
         if out[min(out)] < 0:
             return _new(-c, {m: -v for m, v in out.items()})
@@ -285,6 +292,28 @@ def _sum(p: Poly, q: Poly, sign) -> Poly:
     return from_ints(gn, d1 // gd * d2, out)
 
 
+def _variables(z):
+    return {v for m in z for v, _ in m}
+
+
+def _zmul(z1, z2, out=None, k=1):
+    """out + k*z1*z2 for integer dicts, accumulated in out (a new dict
+    when out is None)."""
+    if out is None:
+        out = {}
+    get = out.get
+    for m1, v1 in z1.items():
+        v1 *= k
+        for m2, v2 in z2.items():
+            m = mono_mul(m1, m2)
+            s = get(m, 0) + v1 * v2
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+    return out
+
+
 def _buckets(z, var):
     """The integer part z as a polynomial in var: {rest of the monomial:
     int} indexed by power, with the top entry nonempty."""
@@ -313,29 +342,6 @@ def _at(cols, n, d=1):
     return {m: v for m, v in out.items() if v}
 
 
-def dense(p: Poly, var):
-    """p as a polynomial in var: its coefficients (polynomials in the other
-    variables) indexed by power, with the top entry nonzero; [] for 0."""
-    n, d = p.c.numerator, p.c.denominator
-    return [from_ints(n, d, b) for b in _buckets(p.z, var)]
-
-
-def _join(coeffs, var) -> Poly:
-    """Inverse of dense: the polynomial sum of coeffs[e] * var^e.  With g
-    the rational gcd of the contents, the integers k_e = c_e / g have gcd
-    1, so the integer parts k_e * z_e join into a primitive one."""
-    live = [(e, c) for e, c in enumerate(coeffs) if c.z]
-    n = gcd(*(c.c.numerator for _, c in live))
-    d = lcm(*(c.c.denominator for _, c in live))
-    out = {}
-    for e, c in live:
-        k = c.c.numerator // n * (d // c.c.denominator)
-        x = ((var, e),) if e else ()
-        for m, v in c.z.items():
-            out[mono_mul(m, x)] = k * v
-    return from_ints(n, d, out)
-
-
 def _uni_dense(z):
     """An integer part in at most one variable, as a list of ints indexed
     by power."""
@@ -345,10 +351,10 @@ def _uni_dense(z):
     return out
 
 
-def _uni_gcd(a, b, var) -> Poly:
-    """Monic gcd of two primitive int dense views by the primitive PRS:
-    a, b <- b, pp(prem(a, b)), where each step scales the remainder by
-    lc(b)/g and its top entry by 1/g, g their gcd."""
+def _uni_gcd(a, b, var):
+    """Gcd over Q, as an integer dict, of two int lists indexed by power
+    by the primitive PRS: a, b <- b, pp(prem(a, b)), where each step
+    scales the remainder by lc(b)/g and its top entry by 1/g, g their gcd."""
     while b:
         db, lb = len(b) - 1, b[-1]
         while len(a) > db:
@@ -366,48 +372,24 @@ def _uni_gcd(a, b, var) -> Poly:
             g = gcd(*a)
             a = [x // g for x in a]
         a, b = b, a
-    return from_ints(1, a[-1], {((var, e),) if e else (): v for e, v in enumerate(a) if v})
+    return {((var, e),) if e else (): v for e, v in enumerate(a) if v}
 
 
-def _primitive(coeffs):
-    """Content (monic, free of var) and primitive part of a dense view."""
-    cont = Poly.zero()
-    for c in coeffs:
-        cont = poly_gcd(cont, c)
-        if cont.is_const() and not cont.is_zero():
-            return cont, coeffs
-    return cont, [divexact(c, cont) for c in coeffs]
+def _image(z, var, powers):
+    """The integer dict z mod P as a polynomial in var, every other
+    variable at its fixed point: residues indexed by power up to deg_var(z)."""
+    return [value(b, powers) for b in _buckets(z, var)]
 
 
-def _prem(a, b):
-    """Pseudo-remainder of dense view a by dense view b."""
-    db, lb = len(b) - 1, b[-1]
-    r = list(a)
-    while len(r) > db:
-        lr = r.pop()
-        off = len(r) - db
-        r = [lb * c for c in r]
-        for i in range(db):
-            r[off + i] = r[off + i] - lr * b[i]
-        while r and r[-1].is_zero():
-            r.pop()
-    return r
-
-
-def _image(p: Poly, var, powers):
-    """p's integer part mod P as a polynomial in var, every other
-    variable at its fixed point: residues indexed by power up to deg_var(p)."""
-    return [value(b, powers) for b in _buckets(p.z, var)]
-
-
-def _coprime(p: Poly, q: Poly) -> bool:
-    """True only when gcd(p, q) = 1, shown by word-prime images (see the
-    module docstring); the gcd has no variable that p or q lacks.  False
-    means undecided: both leading coefficients vanish mod P, or the
-    images share a root."""
+def _coprime(f, g) -> bool:
+    """True only when the integer dicts f and g have no common factor of
+    positive degree, shown by word-prime images (see the module
+    docstring); the gcd has no variable that f or g lacks.  False means
+    undecided: both leading coefficients vanish mod P, or the images
+    share a root."""
     powers = Powers()
-    for x in p.variables() & q.variables():
-        a, b = _image(p, x, powers), _image(q, x, powers)
+    for x in _variables(f) & _variables(g):
+        a, b = _image(f, x, powers), _image(g, x, powers)
         if not (a[-1] or b[-1]):
             return False
         while a and not a[-1]:
@@ -428,30 +410,30 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
         return q.monic()
     if q.is_zero():
         return p.monic()
-    if p.is_const() or q.is_const() or _coprime(p, q):
+    if p.is_const() or q.is_const():  # most calls: skip the integer path
         return Poly.one()
-    vs = p.variables() | q.variables()
-    var = min(vs)
+    h = _zgcd(p.z, q.z)
+    if h is _UNIT:
+        return Poly.one()
+    return from_ints(1, h[max(h, key=grlex_key)], h)
+
+
+def _zgcd(f, g):
+    """A gcd over Q of the nonzero integer dicts f and g, as an integer
+    dict whose integer content is left open, in the order of the module
+    docstring; _UNIT when an input is constant or the certificate holds."""
+    if len(f) == 1 and () in f or len(g) == 1 and () in g or _coprime(f, g):
+        return _UNIT
+    vs = _variables(f) | _variables(g)
     if len(vs) == 1:
-        return _uni_gcd(_uni_dense(p.z), _uni_dense(q.z), var)
-    h = _heu_gcd(p.z, q.z)
-    return _prs_gcd(p, q, var) if h is None else h
-
-
-def _heu_gcd(f, g):
-    """Monic gcd of the integer parts f and g by the heuristic gcd (see
-    the module docstring), or None when it gives up.  The monomial
-    contents come out first: f = m_f*f0 and g = m_g*g0 with f0, g0 free of
-    monomial factors, so gcd(f, g) = gcd(m_f, m_g)*gcd(f0, g0)."""
+        return _uni_gcd(_uni_dense(f), _uni_dense(g), min(vs))
+    # f = m_f*f0 and g = m_g*g0 with f0, g0 free of monomial factors, so
+    # gcd(f, g) = gcd(m_f, m_g)*gcd(f0, g0)
     f, mf = _monomial_content(f)
     g, mg = _monomial_content(g)
-    h = _UNIT if len(f) == 1 or len(g) == 1 else _heu(f, g, True)
-    if h is None:
-        return None
+    h = _UNIT if len(f) == 1 or len(g) == 1 else _heu(f, g, True) or _prs_gcd(f, g)
     common = tuple((v, min(e, mg[v])) for v, e in mf.items() if v in mg)
-    if common:
-        h = {mono_mul(m, common): v for m, v in h.items()}
-    return from_ints(1, 1, h).monic()
+    return {mono_mul(m, common): v for m, v in h.items()} if common else h
 
 
 def _monomial_content(z):
@@ -490,47 +472,76 @@ def _heu(f, g, certify=False):
         fx, gx = _at(fs, xi), _at(gs, xi)
         hx = _heu(fx, gx) if fx and gx else None
         if hx is not None:
-            h = {}
-            for m, v in hx.items():
-                e = 0
-                while v:
-                    d = v % xi
-                    if d > xi // 2:
-                        d -= xi
-                    if d:
-                        h[((x, e),) + m if e else m] = d
-                    v = (v - d) // xi
-                    e += 1
+            h = _digits(hx, x, xi)
             k = gcd(*h.values())
             if k != 1:
                 h = {m: v // k for m, v in h.items()}
             qf = _zdiv(f, h)
             qg = None if qf is None else _zdiv(g, h)
-            if qg is not None and (not certify or _coprime(_new(_ONE, qf), _new(_ONE, qg))):
+            if qg is not None and (not certify or _coprime(qf, qg)):
                 return {m: v * c for m, v in h.items()} if c != 1 else h
         xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
     return None
 
 
-def _prs_gcd(p: Poly, q: Poly, var) -> Poly:
-    """Monic gcd by the primitive PRS in var over the contents' gcd: the
-    fallback when the heuristic gives up."""
-    a, b = dense(p, var), dense(q, var)
-    ca, a = _primitive(a)
-    cb, b = _primitive(b)
-    cont = poly_gcd(ca, cb)
+def _digits(hx, x, xi):
+    """The integer dict whose coefficients of x^e are the e-th symmetric
+    xi-adic digits, in (-xi/2, xi/2], of hx's values; x is below every
+    variable of hx."""
+    h = {}
+    for m, v in hx.items():
+        e = 0
+        while v:
+            d = v % xi
+            if d > xi // 2:
+                d -= xi
+            if d:
+                h[((x, e),) + m if e else m] = d
+            v = (v - d) // xi
+            e += 1
+    return h
+
+
+def _prs_gcd(f, g):
+    """A gcd over Q of the integer dicts f and g by the primitive PRS on
+    buckets in their least variable x: the fallback when the heuristic
+    gives up.  The gcd is the contents' gcd times the last nonzero
+    remainder."""
+    x = min(m[0][0] for z in (f, g) for m in z if m)
+    a, b = _buckets(f, x), _buckets(g, x)
+    (ca, a), (cb, b) = _content(a), _content(b)
+    c = _zgcd(ca, cb)
     if len(a) == 1 or len(b) == 1:
-        return cont
+        return c
     if len(a) < len(b):
         a, b = b, a
     while True:
-        r = _prem(a, b)
-        if not r:
+        db, lb = len(b) - 1, b[-1]
+        while len(a) > db:  # a <- prem(a, b)
+            la = a.pop()
+            off = len(a) - db
+            a = [_zmul(lb, e) for e in a]
+            for i in range(db):
+                _zmul(la, b[i], a[off + i], -1)
+            while a and not a[-1]:
+                a.pop()
+        if not a:
             break  # b is primitive: a primitive part or remainder
-        if len(r) == 1:
-            return cont
-        a, b = b, _primitive(r)[1]
-    return (cont * _join(b, var)).monic()
+        if len(a) == 1:
+            return c
+        a, b = b, _content(a)[1]
+    return _zmul(c, {((x, e),) + m if e else m: v for e, entry in enumerate(b) for m, v in entry.items()})
+
+
+def _content(entries):
+    """The gcd c in Z[a1, ...] of integer dicts, not all empty (the gcd of
+    all their values times the primitive part of their gcd over Q), and
+    the dicts divided by c."""
+    live = [e for e in entries if e]
+    h = reduce(_zgcd, live)
+    k, g = gcd(*(v for e in live for v in e.values())), gcd(*h.values())
+    c = {m: v // g * k for m, v in h.items()}
+    return c, [_zdiv(e, c) if e else e for e in entries]
 
 
 def poly_lcm(p: Poly, q: Poly) -> Poly:
@@ -588,15 +599,7 @@ def _zdiv(a, b):
         quotient.append(f)
         off = len(aa) - db
         for i in range(db):
-            t = aa[off + i]
-            for m1, v1 in f.items():
-                for m2, v2 in bb[i].items():
-                    m = mono_mul(m1, m2)
-                    s = t.get(m, 0) - v1 * v2
-                    if s:
-                        t[m] = s
-                    else:
-                        del t[m]
+            _zmul(f, bb[i], aa[off + i], -1)
     if any(aa):
         return None
     top = len(quotient) - 1
@@ -623,39 +626,35 @@ def _uni_div(a, b, x):
 
 def poly_sqrt(p: Poly):
     """Exact square root in Q[a1, ...] with positive leading coefficient,
-    or None when p is not a perfect square."""
+    or None when p is not a perfect square: the content's and the
+    integer part's roots, under one sign (see the module docstring)."""
     if p.is_zero():
-        return Poly()
-    if p.is_const():
-        n, d = p.c.numerator, p.c.denominator
-        rn, rd = isqrt(max(n, 0)), isqrt(d)
-        return Poly.const(Fraction(rn, rd)) if rn * rn == n and rd * rd == d else None
-    var = min(p.variables())
-    dec = dense(p, var)
-    n = len(dec) - 1
-    if n % 2:
+        return p
+    n, d = p.c.numerator, p.c.denominator
+    s = 1 if n > 0 else -1
+    rn, rd = isqrt(s * n), isqrt(d)
+    if rn * rn != s * n or rd * rd != d:
         return None
-    m = n // 2
-    top = poly_sqrt(dec[n])
-    if top is None:
+    r = _zsqrt(p.z if s > 0 else {m: -v for m, v in p.z.items()})
+    if r is None:
         return None
-    r = [None] * m + [top]
-    two_top = top.scale(2)
-    for k in range(m - 1, -1, -1):
-        acc = dec[m + k]
-        for i in range(k + 1, m):
-            j = m + k - i
-            if j < i:
-                continue
-            rij = r[i] * r[j]
-            acc = acc - (rij.scale(2) if i != j else rij)
-        rk = divexact(acc, two_top)
-        if rk is None:
-            return None
-        r[k] = rk
-    root = _join(r, var)
-    if root * root != p:
+    root = from_ints(rn, rd, r)
+    return -root if root.leading_coeff() < 0 else root
+
+
+def _zsqrt(z):
+    """An integer dict r with r*r == z, or None when the integer dict z
+    is no square: in its least variable x, the digits of the root of
+    z(xi) at the bound xi of the module docstring."""
+    if len(z) == 1 and () in z:
+        v = z[()]
+        r = isqrt(max(v, 0))
+        return {(): r} if r * r == v else None
+    x = min(m[0][0] for m in z if m)
+    xi = 2 * isqrt(sum(map(abs, z.values()))) + 2
+    zx = _at(_buckets(z, x), xi)
+    rx = _zsqrt(zx) if zx else None
+    if rx is None:
         return None
-    if root.leading_coeff() < 0:
-        root = -root
-    return root
+    r = _digits(rx, x, xi)
+    return r if _zmul(r, r) == z else None

@@ -34,6 +34,23 @@ def rand_poly(rng, variables=(1,), max_deg=2, terms=3, bound=4):
     return p
 
 
+def dense(p, var):
+    """p as a polynomial in var: its coefficients (polynomials in the other
+    variables) indexed by power, with the top entry nonzero; [] for 0."""
+    out = []
+    for m, c in p.terms.items():
+        e = dict(m).get(var, 0)
+        out.extend({} for _ in range(e + 1 - len(out)))
+        out[e][tuple((v, k) for v, k in m if v != var)] = c
+    return [Poly(t) for t in out]
+
+
+def join(coeffs, var):
+    """Inverse of dense: the polynomial sum of coeffs[e] * var^e."""
+    x = Poly.variable(var)
+    return sum((c * x**e for e, c in enumerate(coeffs)), Poly.zero())
+
+
 def rand_coeff(rng, variables=(1,), max_deg=2, allow_den=True):
     num = rand_poly(rng, variables, max_deg)
     if num.is_zero():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import rand_coeff, rand_fraction, rand_poly
+from conftest import dense, rand_coeff, rand_fraction, rand_poly
 from hahnseries.coeffs import (
     INFINITE,
     Coefficient,
@@ -15,7 +15,7 @@ from hahnseries.coeffs import (
     default_candidates,
     finite_place_for,
 )
-from hahnseries.polynomials import Poly, dense, poly_gcd
+from hahnseries.polynomials import Poly, poly_gcd
 
 a1 = Coefficient.alpha(1)
 a2 = Coefficient.alpha(2)

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 import hahnseries.modular as M
 from hahnseries.polynomials import (
     Poly,
-    _join,
-    dense,
     divexact,
     grlex_key,
     poly_gcd,
@@ -53,16 +51,6 @@ def test_gcd_multivariate():
     assert poly_gcd(r, s) == a1 * a2 + one
 
 
-def test_dense_view():
-    p = a1 * a1 * a1 * a2 + a2 + Poly.const(3)
-    assert dense(p, 1) == [a2 + Poly.const(3), Poly(), Poly(), a2]
-    assert dense(p, 2) == [Poly.const(3), a1 * a1 * a1 + one]
-    assert dense(p, 3) == [p]
-    assert dense(Poly.zero(), 1) == []
-    for var in (1, 2, 3):
-        assert _join(dense(p, var), var) == p
-
-
 def test_gcd_degree_gaps():
     # main variable a1 skips a degree, and both cofactors are divisible by a1
     g = a1 * a1 * a2 + one
@@ -70,7 +58,7 @@ def test_gcd_degree_gaps():
     q = g * a1 * a1 * (a2 - one)
     assert poly_gcd(p, q) == g * a1
     assert poly_gcd(q, p) == g * a1
-    # nonconstant content a2 + 1 and zero slots in the dense view
+    # nonconstant content a2 + 1 and empty buckets in a1
     c = a2 + one
     f = a1 * a1 + a2
     p = c * a1 * a1 * f
@@ -158,8 +146,9 @@ def test_divexact_matches_leading_term_division(rng):
             p = q * _gappy_poly(rng, nv)
         elif case == 4:  # the top entries divide, a lower one does not
             var = min(q.variables())
+            deg = max(dict(m).get(var, 0) for m in q.z)
             low = rand_poly(rng, variables, max_deg=2, terms=2)
-            low = _join(dense(low, var)[: len(dense(q, var)) - 1], var)
+            low = Poly({m: c for m, c in low.terms.items() if dict(m).get(var, 0) < deg})
             p = q * _gappy_poly(rng, nv) + (low if not low.is_zero() else one)
         else:  # quotient in a variable below q's least
             q = q.subs_var(1, Fraction(rng.randint(1, 3))) if nv > 1 else q
@@ -178,6 +167,8 @@ def test_divexact_matches_leading_term_division(rng):
 def _dense_view_divexact(p, q):
     """Long division on Poly dense views at every size, as the library did
     before it divided integer parts; the oracle for divexact."""
+    from conftest import dense, join
+
     if p.is_zero():
         return Poly()
     if q.is_const():
@@ -196,16 +187,15 @@ def _dense_view_divexact(p, q):
             a[off + i] = a[off + i] - c * b[i]
     if any(not c.is_zero() for c in a):
         return None
-    return _join(quotient[::-1], var)
+    return join(quotient[::-1], var)
 
 
-def test_univariate_divexact_matches_dense_view_division(rng, monkeypatch):
+def test_univariate_divexact_matches_dense_view_division(rng):
     from conftest import rand_poly
 
     import hahnseries.polynomials as P
 
-    views = []
-    monkeypatch.setattr(P, "dense", lambda *a: views.append(a) or dense(*a))
+    assert not hasattr(P, "dense")  # the library builds no Poly-valued view
     seen = set()
     for i in range(2000):
         var = rng.randint(1, 3)
@@ -226,8 +216,6 @@ def test_univariate_divexact_matches_dense_view_division(rng, monkeypatch):
         got = divexact(p, q)
         assert got == _dense_view_divexact(p, q), (p, q)
         seen.add((case, got is None))
-    monkeypatch.undo()
-    assert views == []
     assert {(0, False), (1, True), (2, True), (3, False)} <= seen
 
 
@@ -295,6 +283,57 @@ def test_sqrt_random(rng):
         root = poly_sqrt(sq)
         assert root is not None
         assert root * root == sq
+
+
+def test_sqrt_agrees_with_sympy_factor_list(rng):
+    sympy = pytest.importorskip("sympy")
+    from conftest import rand_fraction, rand_poly
+
+    gens = sympy.symbols("a1:4")
+
+    def oracle(p):
+        # p is a square in Q[a1, a2, a3] exactly when its content is the
+        # square of a rational and every multiplicity is even
+        content, factors = _sympy_poly(sympy, p, gens).factor_list()
+        root = sympy.sqrt(content)
+        if content < 0 or not root.is_rational or any(k % 2 for _, k in factors):
+            return None
+        out = sympy.Poly(root, *gens, domain="QQ")
+        for f, k in factors:
+            out *= f ** (k // 2)
+        return out
+
+    big = a1.scale(12345678901234567890) * a2 - a3.scale(98765432109876543211) + Poly.const(10**19 + 9)
+    roots = [a1 - a2, a1 * a1 * a1 - a2, (a1 + a2).scale(Fraction(3, 2)), big, a1 + Poly.const(5)]
+    while len(roots) < 60:
+        r = rand_poly(rng, (1, 2, 3), max_deg=rng.randint(1, 3), terms=4, bound=rng.choice((4, 40, 10**20)))
+        if not r.is_const():
+            roots.append(r.scale(rand_fraction(rng) or 1) if rng.random() < 0.5 else r)
+    seen = Counter()
+    for k, r in enumerate(roots):
+        sq = r * r
+        cases = [
+            ("square", sq),
+            ("rational content", sq.scale(Fraction(9, 4))),
+            ("negated", -sq),
+            ("non-square content", sq.scale(2)),
+            ("odd degree", sq * Poly.variable(1 + k % 3)),
+            ("near-square", sq + Poly({_mono(*(rng.randint(0, 2) for _ in range(3))): Fraction(1)})),
+            ("product", r * (r + one)),
+        ]
+        for kind, p in cases:
+            want = oracle(p)
+            got = poly_sqrt(p)
+            if want is None:
+                assert got is None, (kind, p)
+            else:
+                assert got is not None and got.leading_coeff() > 0, (kind, p)
+                assert _sympy_poly(sympy, got, gens) in (want, -want), (kind, p)
+            seen[kind, got is None] += 1
+    assert seen["square", False] == seen["rational content", False] == len(roots)
+    for kind in ("negated", "non-square content", "odd degree", "near-square", "product"):
+        assert seen[kind, True] > 40, kind
+    assert poly_sqrt((a1 - a2) ** 2).c == 1 and ((a1 - a2) ** 2).c == -1
 
 
 def test_str_forms():
@@ -400,7 +439,7 @@ def test_certificate_agrees_with_sympy_gcd(rng):
         got = poly_gcd(p, q)
         assert got == _from_sympy(want, 3).monic(), (p, q)
         # sound on every pair, and it settles every coprime one here
-        assert P._coprime(p, q) == (got == one), (p, q)
+        assert P._coprime(p.z, q.z) == (got == one), (p, q)
         kinds["trivial" if got == one else "nontrivial"] += 1
     assert kinds["trivial"] > 80 and kinds["nontrivial"] > 600
 
@@ -412,18 +451,18 @@ def test_certificate_falls_back_when_leading_coefficients_vanish(monkeypatch):
     c = Poly.const(M.point(2))
     p = (a2 - c) * a1 + one
     q = (a2 - c) * a1 * a1 + a2
-    assert not P._coprime(p, q)
+    assert not P._coprime(p.z, q.z)
     calls = []
-    real = P._heu_gcd
-    monkeypatch.setattr(P, "_heu_gcd", lambda f, g: calls.append(1) or real(f, g))
+    real = P._heu
+    monkeypatch.setattr(P, "_heu", lambda f, g, certify=False: calls.append(certify) or real(f, g, certify))
     assert poly_gcd(p, q) == one
-    assert calls
+    assert True in calls
     # h's leading coefficients in a1 and in a2 both vanish, so its images
     # are the constant 1, and the images of p and q are coprime
     c1 = Poly.const(M.point(1))
     h = (a1 - c1) * (a2 - c) + one
     p, q = h * (a1 + a2), h * (a1 - a2 + Poly.const(3))
-    assert not P._coprime(p, q)
+    assert not P._coprime(p.z, q.z)
     assert poly_gcd(p, q) == h
 
 
@@ -433,11 +472,11 @@ def test_certificate_falls_back_when_images_share_a_root():
     # coprime, but a2 at its point makes both images a1 - c
     c = Poly.const(M.point(2))
     p, q = a1 - a2, a1 - c
-    assert not P._coprime(p, q)
+    assert not P._coprime(p.z, q.z)
     assert poly_gcd(p, q) == one
     # images share a root in a1, not in a2: still undecided, still 1
     p, q = (a1 - a2) * (a2 + one), (a1 - c) * a2
-    assert not P._coprime(p, q)
+    assert not P._coprime(p.z, q.z)
     assert poly_gcd(p, q) == one
 
 
@@ -448,11 +487,11 @@ def test_certificate_skips_leading_coefficients_divisible_by_the_prime():
     # leading coefficients in a1 vanishing mod M.P, here as multiples of it
     big = a1.scale(M.P)
     p, q = big + one, big * a1 + a1 + Poly.const(2)
-    assert not P._coprime(p, q)
+    assert not P._coprime(p.z, q.z)
     assert poly_gcd(p, q) == one
     h = big + one
     p, q = h * (a1 + Poly.const(2)), h * (a1 - Poly.const(3))
-    assert not P._coprime(p, q)
+    assert not P._coprime(p.z, q.z)
     assert poly_gcd(p, q) == h.monic() == a1 + Poly.const(Fraction(1, M.P))
     assert poly_gcd(a1 * a2, a3 + one) == one  # no shared variable
 
@@ -579,6 +618,23 @@ def test_prs_fallback_agrees_with_sympy(rng, monkeypatch):
     assert len(fallbacks) >= 30
 
 
+def _monomial_free(z):
+    """No variable divides every monomial of the integer dict z."""
+    return not set.intersection(*({v for v, _ in m} for m in z))
+
+
+def test_forced_fallback_runs_on_monomial_free_parts(monkeypatch):
+    import hahnseries.polynomials as P
+
+    inputs = []
+    real = P._prs_gcd
+    monkeypatch.setattr(P, "HEU_TRIES", 0)  # the heuristic gives up at once
+    monkeypatch.setattr(P, "_prs_gcd", lambda *a: inputs.extend(a) or real(*a))
+    assert poly_gcd(*REPRODUCER) == Poly({_mono(1, 2, 2): Fraction(1)})
+    assert inputs
+    assert sum(not _monomial_free(z) for z in inputs) == 0
+
+
 def test_heuristic_accepts_only_certified_candidates(monkeypatch):
     import hahnseries.polynomials as P
 
@@ -618,8 +674,8 @@ def test_integer_divexact_matches_dense_view_division(rng, monkeypatch):
                 q = a2 + a3
             p = q * rand_poly(rng, (1, 2, 3), max_deg=2, terms=3)
         cases.append((p, q, _dense_view_divexact(p, q)))
+    assert not hasattr(P, "dense")  # the library builds no Poly-valued view
     wraps = []
-    monkeypatch.setattr(P, "dense", lambda *a: pytest.fail("a dense view was built"))
     real = P.from_ints
     monkeypatch.setattr(P, "from_ints", lambda *a: wraps.append(a) or real(*a))
     for i, (p, q, want) in enumerate(cases):
@@ -713,23 +769,6 @@ def test_exact_division_of_planted_products(a, b):
     if not r.is_const():
         # r divides prod + 1 only if it divides 1
         assert divexact(prod + Poly.one(), r) is None
-
-
-@given(term_dicts)
-def test_dense_view_round_trip(a):
-    p = Poly(a)
-    a = _clean(a)
-    for var in (1, 2, 3):
-        view = dense(p, var)
-        for e, entry in enumerate(view):
-            want = {
-                tuple((v, k) for v, k in m if v != var): c
-                for m, c in a.items()
-                if dict(m).get(var, 0) == e
-            }
-            assert _canonical(entry).terms == want
-        assert not view or not view[-1].is_zero()
-        _same(_canonical(_join(view, var)), p)
 
 
 @given(term_dicts, term_dicts, term_dicts)
